@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import element_volumes, tet_geometry
-from .mesh import LOCAL_FACES, Mesh
-from .quadrature import tet_rule_degree2, tet_rule_degree5
-from .system import Field
+from .geometry import (barycentric_gradients, element_volumes,
+                       local_face_geometry, tet_geometry)
+from .mesh import Mesh
+from .quadrature import tet_rule_degree2, tet_rule_degree5, tri_rule_midpoint3
+from .system import Field, sample_elements
 
 _RULE5 = tet_rule_degree5()
 
@@ -78,16 +79,13 @@ def l2_error(mesh, field, u_exact, rule=None):
     For rt0 fields the piecewise-constant cell part is compared.
     """
     rule = rule or _RULE5
-    v = mesh.tet_vertices()
-    vols = element_volumes(mesh)
-    x = np.einsum("qi,tid->tqd", rule.points, v)
-    exact = np.asarray(u_exact(x[..., 0], x[..., 1], x[..., 2]), dtype=float)
+    exact = sample_elements(mesh, u_exact, rule)
     if field.space == "rt0":
         values = field.cell_coeffs[:, None]
     else:
         values = field.element_values(rule.points)
     per_element = np.einsum("q,tq->t", rule.weights, (exact - values) ** 2)
-    return math.sqrt(float(vols @ per_element))
+    return math.sqrt(float(element_volumes(mesh) @ per_element))
 
 
 def broken_h1_error(mesh, field, grad_exact, rule=None):
@@ -96,24 +94,19 @@ def broken_h1_error(mesh, field, grad_exact, rule=None):
     For rt0 fields the flux sigma plays the role of the discrete gradient.
     """
     rule = rule or _RULE5
-    v = mesh.tet_vertices()
-    vols = element_volumes(mesh)
-    x = np.einsum("qi,tid->tqd", rule.points, v)
-    exact = np.asarray(grad_exact(x[..., 0], x[..., 1], x[..., 2]), dtype=float)
+    exact = sample_elements(mesh, grad_exact, rule)
     if field.space == "rt0":
         diff = exact - field.flux_values(rule.points)
     else:
         diff = exact - field.element_gradients()[:, None, :]
     per_element = np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
-    return math.sqrt(float(vols @ per_element))
+    return math.sqrt(float(element_volumes(mesh) @ per_element))
 
 
 def field_l2_norm(mesh, field):
     """L2 norm of a piecewise-linear field itself (exact, degree-2 rule)."""
-    rule = tet_rule_degree2()
-    vols = element_volumes(mesh)
-    values = field.element_values(rule.points)
-    return math.sqrt(float(vols @ np.einsum("q,tq->t", rule.weights, values ** 2)))
+    return l2_error(mesh, field, lambda x, y, z: np.zeros_like(x),
+                    tet_rule_degree2())
 
 
 def broken_h1_norm(mesh, field):
@@ -142,8 +135,6 @@ def convergence_indicator(errors):
 
 def global_cr_interpolant(mesh, u_exact):
     """Face-mean CR interpolant of a continuous function as a global Field."""
-    from .quadrature import tri_rule_midpoint3
-
     rule = tri_rule_midpoint3()
     faces = mesh.faces
     pts = np.einsum("qi,fid->fqd", rule.points, mesh.vertices[faces.vertices])
@@ -183,10 +174,9 @@ def sliver_interp_row(n, gamma=1.5):
     mesh = Mesh(verts.copy(), np.array([[0, 1, 2, 3]]))
     geo = tet_geometry(mesh, 0)
 
-    centres = np.stack([verts[LOCAL_FACES[i]].mean(axis=0) for i in range(4)])
-    coeffs = (centres ** 2).sum(axis=1)
-    vm = np.concatenate([verts, np.ones((4, 1))], axis=1)
-    grad_interp = coeffs @ (-3.0 * np.linalg.inv(vm)[:3].T)
+    _, _, centres = local_face_geometry(mesh)
+    coeffs = (centres[0] ** 2).sum(axis=1)
+    grad_interp = coeffs @ (-3.0 * barycentric_gradients(mesh)[0])
 
     grad_err_sq = ((2.0 * verts - grad_interp) ** 2).sum(axis=1).mean()
     hess_sq = 12.0  # phi has pure second derivatives (2, 2, 2)

@@ -1,8 +1,9 @@
 """Experiment runner: convergence studies, the flat-tet interpolation demo
 and the identity verification suite.
 
-Exit codes: 0 success, 1 numerical failure (solver breakdown or a failed
-identity), 2 configuration error.
+Exit codes: 0 success, 1 numerical failure (solver breakdown, a ValueError
+raised from numerics or a failed identity), 2 configuration error, rejected
+before any output.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analysis, elements, equivalence, geometry, quadrature, system
-from .mesh import generate_aniso_cube, write_vtk
+from .mesh import face_values, generate_aniso_cube, write_vtk
 
 # (M, N) pairs of the published convergence studies, keyed by gamma;
 # the M=32 rows are behind --large (the gamma=2 one alone has 10.6M face DOFs)
@@ -34,19 +35,18 @@ def _parse_pairs(text):
     pairs = []
     for chunk in text.split(","):
         try:
-            m, n = chunk.strip().split(":")
-            pairs.append((int(m), int(n)))
+            m, n = (int(s) for s in chunk.strip().split(":"))
         except ValueError:
             raise ConfigError(f"bad mesh pair {chunk!r}, expected M:N") from None
+        if m <= 0 or n <= 0 or m % 2:
+            raise ConfigError(f"bad mesh pair {chunk!r}: M must be positive and "
+                              f"even, N positive")
+        pairs.append((m, n))
     return pairs
 
 
 def _fmt(x):
     return "" if x is None else f"{x:.6e}"
-
-
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
 
 
 def select_pairs(gamma, pairs_text=None, large=False):
@@ -62,7 +62,14 @@ def select_pairs(gamma, pairs_text=None, large=False):
 
 def cmd_converge(args, out):
     pairs = select_pairs(args.gamma, args.pairs, args.large)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol!r}")
     case = analysis.cube_polynomial_case()
+    assemble, solve = {
+        "p1": (system.assemble_p1, system.solve_spd),
+        "cr": (system.assemble_cr, system.solve_spd),
+        "rt": (system.assemble_rt0_mixed, system.solve_saddle),
+    }[args.element]
     out.write(CONVERGE_HEADER + "\n")
     out.flush()
     prev_h1 = prev_l2 = None
@@ -71,18 +78,9 @@ def cmd_converge(args, out):
         if args.vtk:
             write_vtk(mesh, f"{args.vtk}.M{m}N{n}.vtk")
         metrics = geometry.global_metrics(mesh)
-        if args.element == "p1":
-            sys_ = system.assemble_p1(mesh, case.f, rhs_mode=args.rhs)
-            fld = system.solve_spd(sys_, tol=args.tol)
-            dofs = mesh.n_vertices
-        elif args.element == "cr":
-            sys_ = system.assemble_cr(mesh, case.f, rhs_mode=args.rhs)
-            fld = system.solve_spd(sys_, tol=args.tol)
-            dofs = mesh.faces.n_faces
-        else:
-            sys_ = system.assemble_rt0_mixed(mesh, case.f, rhs_mode=args.rhs)
-            fld = system.solve_saddle(sys_, tol=args.tol)
-            dofs = mesh.faces.n_faces + mesh.n_tets
+        sys_ = assemble(mesh, case.f, rhs_mode=args.rhs)
+        fld = solve(sys_, tol=args.tol)
+        dofs = len(sys_.rhs)  # vertices (p1), faces (cr), faces + cells (rt)
 
         err_h1 = analysis.broken_h1_error(mesh, fld, case.grad_u) / case.hess_diag_l2
         err_l2 = analysis.l2_error(mesh, fld, case.u) / case.hess_diag_l2
@@ -93,16 +91,18 @@ def cmd_converge(args, out):
         h_nom = (1.0 / m) ** (2.0 - args.gamma)
         row = [str(m), str(n), _fmt(1.0 / m), _fmt(h_nom),
                _fmt(metrics.aniso_max), str(dofs),
-               _fmt(err_h1), _fmt(r_h1) if r_h1 is not None else "",
-               _fmt(err_l2), _fmt(r_l2) if r_l2 is not None else ""]
+               _fmt(err_h1), _fmt(r_h1), _fmt(err_l2), _fmt(r_l2)]
         out.write(",".join(row) + "\n")
         out.flush()
     return 0
 
 
 def cmd_interp_demo(args, out):
-    ns = [int(s) for s in args.n_values.split(",")] if args.n_values \
-        else DEFAULT_DEMO_N
+    try:
+        ns = [int(s) for s in args.n_values.split(",")] if args.n_values \
+            else DEFAULT_DEMO_N
+    except ValueError:
+        raise ConfigError(f"bad demo N values {args.n_values!r}") from None
     if any(n <= 0 for n in ns):
         raise ConfigError("demo N values must be positive")
     out.write("N,h,H_T,err,r\n")
@@ -121,17 +121,15 @@ def _verify_checks(rng, flip_rt_signs=False, bubble_stiffness=72.0):
     def random_tet():
         while True:
             v = rng.uniform(-1.0, 1.0, (4, 3))
-            if abs(np.linalg.det(v[1:] - v[0])) / 6.0 > 1e-3:
+            if quadrature.simplex_measure(v) > 1e-3:
                 return v
 
     # quadrature exactness against the closed-form simplex monomial integrals
-    from math import factorial
-
     def bary_moment(exponents, dim):
         num = 1
         for e in exponents:
-            num *= factorial(e)
-        return num * factorial(dim) / factorial(sum(exponents) + dim)
+            num *= math.factorial(e)
+        return num * math.factorial(dim) / math.factorial(sum(exponents) + dim)
 
     for rule, name in [(quadrature.tet_rule_degree2(), "quad_tet_degree2"),
                        (quadrature.tet_rule_degree5(), "quad_tet_degree5")]:
@@ -166,20 +164,14 @@ def _verify_checks(rng, flip_rt_signs=False, bubble_stiffness=72.0):
 
     # bubble identities over a generated mesh plus random tets
     mesh = generate_aniso_cube(4, 8)
-    tri = quadrature.tri_rule_midpoint3()
     dev_face = dev_mean = dev_grad = 0.0
     tet_list = list(mesh.tet_vertices()) + [random_tet() for _ in range(20)]
-    from .mesh import LOCAL_FACES
     for v in tet_list:
         spread = equivalence.bubble_spread(v)
-        for i in range(4):
-            face = v[LOCAL_FACES[i]]
-            mean = quadrature.integrate(
-                tri, face,
-                lambda x, y, z: equivalence.bubble_eval(
-                    v, np.stack([x, y, z], axis=-1)),
-            ) / quadrature.simplex_measure(face)
-            dev_face = max(dev_face, abs(mean) / spread)
+        face_means = elements.cr_interpolate(
+            v, lambda x, y, z: equivalence.bubble_eval(
+                v, np.stack([x, y, z], axis=-1)))
+        dev_face = max(dev_face, float(np.abs(face_means).max()) / spread)
         mean, grad_sq = equivalence.bubble_identities(v)
         dev_mean = max(dev_mean, abs(mean - 0.4 * spread) / spread)
         dev_grad = max(dev_grad, abs(grad_sq - 28.8 * spread) / (28.8 * spread))
@@ -267,29 +259,17 @@ def _flux_jump_deviation(mesh, field, flip_rt_signs=False):
     orientation table is intact and blows up to 2|coeff| when it is not.
     """
     faces = mesh.faces
-    vols = geometry.element_volumes(mesh)
-    areas, _, centroids = geometry.local_face_geometry(mesh)
-    v4 = mesh.tet_vertices()
+    _, _, centroids = geometry.local_face_geometry(mesh)
     signs = faces.tet_face_signs.copy()
     if flip_rt_signs:
         signs[signs < 0] *= -1.0
 
-    local = field.coeffs[faces.tet_faces] * signs
-    coef = local * areas / (3.0 * vols[:, None])
-    trace = np.zeros(faces.n_faces)
-    seen = np.zeros(faces.n_faces, dtype=bool)
-    worst = 0.0
-    scale = max(float(np.abs(field.coeffs).max()), 1e-300)
-    for i in range(4):
-        gf = faces.tet_faces[:, i]
-        sigma = np.einsum("tj,tjd->td", coef, centroids[:, i, None, :] - v4)
-        value = np.einsum("td,td->t", sigma, faces.normals[gf])
-        dup = seen[gf]
-        if dup.any():
-            worst = max(worst, float(np.abs(trace[gf][dup] - value[dup]).max()))
-        trace[gf] = value
-        seen[gf] = True
-    return worst / scale
+    a, b = geometry.rt0_affine(mesh.tet_vertices(),
+                               field.coeffs[faces.tet_faces] * signs)
+    sigma = a[:, None, None] * centroids - b[:, None, :]
+    trace = np.einsum("tid,tid->ti", sigma, faces.normals[faces.tet_faces])
+    _, worst = face_values(faces, trace)
+    return worst / max(float(np.abs(field.coeffs).max()), 1e-300)
 
 
 def _duality_deviation(mesh, rng, samples=50, flip_rt_signs=False):
@@ -302,7 +282,6 @@ def _duality_deviation(mesh, rng, samples=50, flip_rt_signs=False):
     """
     faces = mesh.faces
     vols = geometry.element_volumes(mesh)
-    areas, _, _ = geometry.local_face_geometry(mesh)
     grads = -3.0 * geometry.barycentric_gradients(mesh)
     v4 = mesh.tet_vertices()
     centres = v4.mean(axis=1)
@@ -317,12 +296,10 @@ def _duality_deviation(mesh, rng, samples=50, flip_rt_signs=False):
         flux = rng.uniform(-1.0, 1.0, faces.n_faces)
         psi = rng.uniform(-1.0, 1.0, faces.n_faces)
         psi[faces.boundary] = 0.0
-        local = flux[faces.tet_faces] * signs
-        coef = local * areas / (3.0 * vols[:, None])
+        a, b = geometry.rt0_affine(v4, flux[faces.tet_faces] * signs)
         # v at the barycentre, one affine evaluation per element
-        v_mid = np.einsum("ti,tid->td",
-                          coef, centres[:, None, :] - v4)
-        div = (local * areas).sum(axis=1) / vols
+        v_mid = a[:, None] * centres - b
+        div = 3.0 * a
         grad_psi = np.einsum("ti,tid->td", psi[faces.tet_faces], grads)
         psi_mid = psi[faces.tet_faces].sum(axis=1) / 4.0
         total = float(vols @ (np.einsum("td,td->t", v_mid, grad_psi)
@@ -387,7 +364,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = _open_out(getattr(args, "out", None))
+        out = open(args.out, "w") if args.out else sys.stdout
         try:
             return args.func(args, out)
         finally:
@@ -396,11 +373,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except system.SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except (system.SolverError, ValueError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -6,7 +6,8 @@ interpolant.
 
 import numpy as np
 
-from .mesh import LOCAL_FACES
+from .geometry import (LOCAL_FACES, barycentric_coefficients, face_geometry,
+                       rt0_scales)
 from .quadrature import (integrate, simplex_measure, tet_rule_degree2,
                          tet_rule_degree5, tri_rule_midpoint3)
 
@@ -20,8 +21,7 @@ class BarycentricMap:
 
     def __init__(self, vertices):
         self.vertices = np.asarray(vertices, dtype=float)
-        vm = np.concatenate([self.vertices, np.ones((4, 1))], axis=1)
-        self._coef = np.linalg.inv(vm)  # columns hold (gx, gy, gz, c) of lambda_i
+        self._coef = barycentric_coefficients(self.vertices[None])[0]
 
     def coords(self, points):
         """Barycentric coordinates, (n, 4) for points of shape (n, 3)."""
@@ -51,10 +51,6 @@ class CRBasis:
     def gradients(self):
         return -3.0 * self.map.gradients
 
-    @staticmethod
-    def values_from_barycentric(bary):
-        return 1.0 - 3.0 * np.asarray(bary)
-
 
 class RT0Basis:
     """Lowest-order Raviart-Thomas basis psi_i = |F_i|/(3|T|) (x - x_i).
@@ -67,38 +63,25 @@ class RT0Basis:
     def __init__(self, vertices):
         self.vertices = np.asarray(vertices, dtype=float)
         self.volume = simplex_measure(self.vertices)
-        centroid = self.vertices.mean(axis=0)
-        self.face_areas = np.empty(4)
-        self.normals = np.empty((4, 3))
-        for i in range(4):
-            a, b, c = self.vertices[LOCAL_FACES[i]]
-            cross = np.cross(b - a, c - a)
-            self.face_areas[i] = 0.5 * np.linalg.norm(cross)
-            n = cross / (2.0 * self.face_areas[i])
-            if np.dot(n, centroid - a) > 0:
-                n = -n
-            self.normals[i] = n
+        areas, normals, _ = face_geometry(self.vertices[None])
+        self.face_areas, self.normals = areas[0], normals[0]
+        self._scales = rt0_scales(areas, self.volume)[0]
 
     def values(self, points):
         """(n, 4, 3) array of the four basis fields at each point."""
         points = np.atleast_2d(points)
         d = points[:, None, :] - self.vertices[None, :, :]
-        return d * (self.face_areas / (3.0 * self.volume))[None, :, None]
+        return d * self._scales[None, :, None]
 
     @property
     def divergences(self):
         return self.face_areas / self.volume
 
     def dof(self, v):
-        """chi functionals of a vector field ``v(x, y, z) -> (n, 3)``."""
-        coeffs = np.empty(4)
-        for i in range(4):
-            face = self.vertices[LOCAL_FACES[i]]
-            n = self.normals[i]
-            flux = integrate(_TRI_RULE, face,
-                             lambda x, y, z: np.asarray(v(x, y, z)) @ n)
-            coeffs[i] = flux / self.face_areas[i]
-        return coeffs
+        """chi functionals of a vector field ``v(x, y, z) -> (n, 3)``: the
+        normal components of its face means."""
+        return np.einsum("id,id->i", cr_interpolate(self.vertices, v),
+                         self.normals)
 
 
 def p0_project(vertices, f):
@@ -110,20 +93,17 @@ def cr_interpolate(vertices, f):
     """Face-mean Crouzeix-Raviart coefficients of a scalar field.
 
     Coefficient i is the mean of f over face i, computed with the midpoint
-    triangle rule (exact for quadratics).  P1 functions are reproduced.
+    triangle rule (exact for quadratics).  P1 functions are reproduced.  A
+    vector-valued f gives one mean vector per face.
     """
     vertices = np.asarray(vertices, dtype=float)
-    coeffs = np.empty(4)
-    for i in range(4):
-        face = vertices[LOCAL_FACES[i]]
-        coeffs[i] = integrate(_TRI_RULE, face, f) / simplex_measure(face)
-    return coeffs
+    return np.stack([integrate(_TRI_RULE, vertices[face], f)
+                     / simplex_measure(vertices[face]) for face in LOCAL_FACES])
 
 
 def cr_interpolate_pointwise(vertices, f):
     """Crouzeix-Raviart coefficients sampled at the four face barycentres."""
-    vertices = np.asarray(vertices, dtype=float)
-    centres = np.stack([vertices[LOCAL_FACES[i]].mean(axis=0) for i in range(4)])
+    centres = face_geometry(np.asarray(vertices, dtype=float)[None])[2][0]
     return np.asarray(f(centres[:, 0], centres[:, 1], centres[:, 2]), dtype=float)
 
 

@@ -15,9 +15,10 @@ elementwise from the CR one:
 import numpy as np
 
 from .geometry import element_volumes, local_face_geometry
-from .quadrature import integrate, simplex_measure, tet_rule_degree2
+from .mesh import face_values
+from .quadrature import (integrate, simplex_measure, tet_rule_degree2,
+                         tet_rule_degree5)
 from .system import Field, assemble_cr, solve_spd, _element_loads
-from . import quadrature
 
 _RULE2 = tet_rule_degree2()
 
@@ -71,7 +72,7 @@ def enriched_cr_solve(mesh, f, tol=1e-10):
     """
     system = assemble_cr(mesh, f, rhs_mode="projected-f")
     cr = solve_spd(system, tol=tol)
-    _, f_int = _element_loads(mesh, f, quadrature.tet_rule_degree5())
+    _, f_int = _element_loads(mesh, f, tet_rule_degree5())
     gamma = f_int / element_volumes(mesh) / 72.0
     return cr, gamma
 
@@ -94,7 +95,7 @@ def marini_reconstruct(mesh, cr_field, f, bubble_stiffness=72.0):
     faces = mesh.faces
     v = mesh.tet_vertices()
     vols = element_volumes(mesh)
-    _, f_int = _element_loads(mesh, f, quadrature.tet_rule_degree5())
+    _, f_int = _element_loads(mesh, f, tet_rule_degree5())
     fbar = f_int / vols
 
     grad_cr = cr_field.element_gradients()                    # (nt, 3)
@@ -110,18 +111,8 @@ def marini_reconstruct(mesh, cr_field, f, bubble_stiffness=72.0):
         normals,
     )
 
-    # group the per-tet face values by global face: interior faces collect two
-    # candidates whose disagreement is the conformity defect
-    nf = faces.n_faces
-    order = np.argsort(faces.tet_faces.ravel(), kind="stable")
-    sorted_chi = chi.ravel()[order]
-    start = np.searchsorted(faces.tet_faces.ravel()[order], np.arange(nf))
-    flux = sorted_chi[start]
-    interior = np.nonzero(~faces.boundary)[0]
-    mismatch = 0.0
-    if len(interior):
-        gaps = np.abs(sorted_chi[start[interior]] - sorted_chi[start[interior] + 1])
-        mismatch = float(gaps.max())
+    # the two candidates of an interior face disagree by the conformity defect
+    flux, mismatch = face_values(faces, chi)
 
     spread = ((v - centres[:, None, :]) ** 2).sum(axis=(1, 2))
     cell_mean = cr_field.element_coeffs().sum(axis=1) / 4.0

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# local face i of a tet is opposite local vertex i
-LOCAL_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+from .geometry import LOCAL_FACES, face_geometry, signed_volumes
 
 # Box corners are indexed b = di + 2*dj + 4*dk.  Each row below is one tet of
 # the 5-tet split (central tet first); _SPLIT_ODD is the mirror image used on
@@ -50,8 +49,6 @@ class FaceTable:
     tets: np.ndarray       # (nf, 2) incident tets, second entry -1 on the boundary
     boundary: np.ndarray   # (nf,) bool
     normals: np.ndarray    # (nf, 3) unit normals, outward from tets[:, 0]
-    areas: np.ndarray      # (nf,)
-    centroids: np.ndarray  # (nf, 3)
     tet_faces: np.ndarray  # (nt, 4) global face index of local face i (opposite vertex i)
     tet_face_signs: np.ndarray  # (nt, 4) +1 where the global normal is outward
 
@@ -95,15 +92,6 @@ class Mesh:
         return self.vertices[self.tets[index]]
 
 
-def _signed_volumes(vertices, tets):
-    v = vertices[tets]
-    return np.einsum(
-        "ij,ij->i",
-        np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]),
-        v[:, 3] - v[:, 0],
-    ) / 6.0
-
-
 def generate_aniso_cube(M, N):
     """Mesh of the unit cube from M x M x N boxes split into 5 tets each.
 
@@ -145,7 +133,7 @@ def generate_aniso_cube(M, N):
         np.repeat(corners[:, None, :], 5, axis=1), pattern, axis=2
     ).reshape(-1, 4)
 
-    flip = _signed_volumes(vertices, tets) < 0
+    flip = signed_volumes(vertices[tets]) < 0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
     return Mesh(vertices, tets)
 
@@ -173,14 +161,8 @@ def build_face_table(mesh):
     interior = counts == 2
     incident[interior, 1] = order[start[interior] + 1] // 4
 
-    pts = mesh.vertices[unique]
-    cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    normals = cross / (2.0 * areas[:, None])
-    # orient out of the first (lower-indexed) incident tet
-    owner_centroid = mesh.vertices[mesh.tets[incident[:, 0]]].mean(axis=1)
-    inward = np.einsum("ij,ij->i", normals, owner_centroid - pts[:, 0]) > 0
-    normals[inward] *= -1.0
+    # the outward normal of the first (lower-indexed) incident tet's local face
+    normals = face_geometry(mesh.tet_vertices())[1].reshape(-1, 3)[order[start]]
 
     signs = np.where(incident[tet_faces, 0] == np.arange(nt)[:, None], 1.0, -1.0)
     table = FaceTable(
@@ -188,16 +170,28 @@ def build_face_table(mesh):
         tets=incident,
         boundary=~interior,
         normals=normals,
-        areas=areas,
-        centroids=pts.mean(axis=1),
         tet_faces=tet_faces,
         tet_face_signs=signs,
     )
     for arr in (table.vertices, table.tets, table.boundary, table.normals,
-                table.areas, table.centroids, table.tet_faces,
-                table.tet_face_signs):
+                table.tet_faces, table.tet_face_signs):
         arr.setflags(write=False)
     return table
+
+
+def face_values(faces, local):
+    """Per-face values from per-(tet, local face) values ``local`` (nt, 4).
+
+    Returns the value seen from ``faces.tets[:, 0]``, shape (nf,), and the
+    largest disagreement between the two sides of an interior face.
+    """
+    flat = faces.tet_faces.ravel()
+    order = np.argsort(flat, kind="stable")
+    start = np.searchsorted(flat[order], np.arange(faces.n_faces))
+    ranked = local.ravel()[order]
+    interior = start[~faces.boundary]
+    gaps = np.abs(ranked[interior] - ranked[interior + 1])
+    return ranked[start], float(gaps.max(initial=0.0))
 
 
 @dataclass
@@ -217,7 +211,7 @@ def validate_conformity(mesh, volume=1.0, tol=1e-12):
     boundary of the unit cube.
     """
     messages = []
-    signed = _signed_volumes(mesh.vertices, mesh.tets)
+    signed = signed_volumes(mesh.tet_vertices())
     orientation_ok = bool((signed > 0).all())
     if not orientation_ok:
         messages.append(f"{(signed <= 0).sum()} tets with non-positive volume")

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import barycentric_gradients, element_volumes, local_face_geometry
+from .geometry import (barycentric_gradients, element_volumes,
+                       local_face_geometry, rt0_affine, rt0_scales)
 from .quadrature import tet_rule_degree2, tet_rule_degree5
 
 RHS_MODES = ("exact-f", "projected-f")
@@ -83,36 +84,33 @@ class Field:
 
     def flux_values(self, bary):
         """RT0 vector values at barycentric points, (nt, nq, 3)."""
-        if self.space != "rt0":
-            raise ValueError("flux values only exist for rt0 fields")
-        mesh = self.mesh
-        v = mesh.tet_vertices()
-        faces = mesh.faces
-        areas, _, _ = local_face_geometry(mesh)
-        vols = element_volumes(mesh)
+        v = self.mesh.tet_vertices()
+        a, b = self._flux_affine(v)
         x = np.einsum("qi,tid->tqd", np.asarray(bary), v)
-        local = self.coeffs[faces.tet_faces] * faces.tet_face_signs  # (nt, 4)
-        coef = local * areas / (3.0 * vols[:, None])
-        d = x[:, :, None, :] - v[:, None, :, :]                      # (nt, nq, 4, 3)
-        return np.einsum("ti,tqid->tqd", coef, d)
+        return a[:, None, None] * x - b[:, None, :]
 
     def flux_divergence(self):
         """Constant per-element divergence of an rt0 field, (nt,)."""
+        return 3.0 * self._flux_affine(self.mesh.tet_vertices())[0]
+
+    def _flux_affine(self, v):
         if self.space != "rt0":
-            raise ValueError("divergence only exists for rt0 fields")
+            raise ValueError("fluxes only exist for rt0 fields")
         faces = self.mesh.faces
-        areas, _, _ = local_face_geometry(self.mesh)
-        local = self.coeffs[faces.tet_faces] * faces.tet_face_signs
-        return (local * areas).sum(axis=1) / element_volumes(self.mesh)
+        return rt0_affine(v, self.coeffs[faces.tet_faces] * faces.tet_face_signs)
+
+
+def sample_elements(mesh, fn, rule):
+    """``fn(x, y, z)`` at the points of ``rule`` on every element, (nt, nq, ...)."""
+    x = np.einsum("qi,tid->tqd", rule.points, mesh.tet_vertices())
+    return np.asarray(fn(x[..., 0], x[..., 1], x[..., 2]), dtype=float)
 
 
 def _element_loads(mesh, f, rule):
     """Integrals of f times the barycentric coordinates, (nt, 4), plus
     the plain element integrals of f, (nt,)."""
-    v = mesh.tet_vertices()
     vols = element_volumes(mesh)
-    x = np.einsum("qi,tid->tqd", rule.points, v)
-    fv = np.asarray(f(x[..., 0], x[..., 1], x[..., 2]), dtype=float)
+    fv = sample_elements(mesh, f, rule)
     lam_loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights,
                                           rule.points, fv)
     f_int = vols * np.einsum("q,tq->t", rule.weights, fv)
@@ -136,9 +134,45 @@ def _apply_constraints(matrix, rhs, constrained):
     return matrix.tocsr(), rhs
 
 
-def _check_rhs_mode(rhs_mode):
+def _check_inputs(mesh, rhs_mode):
     if rhs_mode not in RHS_MODES:
         raise ValueError(f"rhs_mode must be one of {RHS_MODES}, got {rhs_mode!r}")
+    if mesh.n_tets == 0:
+        raise ValueError("empty mesh")
+
+
+def _assemble_primal(kind, mesh, f, rhs_mode, constrain):
+    """P1 (vertex DOFs) or CR (face DOFs) system.
+
+    The CR basis theta_i = 1 - 3 lambda_i has -3 times the barycentric
+    gradients and the exact load int f - 3 int f lambda_i.
+    """
+    _check_inputs(mesh, rhs_mode)
+    faces = mesh.faces
+    grads = barycentric_gradients(mesh)
+    if kind == "p1":
+        dofs, ndof = mesh.tets, mesh.n_vertices
+        constrained = np.zeros(ndof, dtype=bool)
+        constrained[np.unique(faces.vertices[faces.boundary])] = True
+    else:
+        dofs, ndof = faces.tet_faces, faces.n_faces
+        constrained = faces.boundary.copy()
+        grads = -3.0 * grads
+    vols = element_volumes(mesh)
+    local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
+    matrix = _scatter_square(local, dofs, ndof)
+
+    lam_loads, f_int = _element_loads(mesh, f, tet_rule_degree5())
+    if rhs_mode == "projected-f":
+        loads = np.repeat((f_int / 4.0)[:, None], 4, axis=1)
+    elif kind == "p1":
+        loads = lam_loads
+    else:
+        loads = f_int[:, None] - 3.0 * lam_loads
+    rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=ndof)
+    if constrain:
+        matrix, rhs = _apply_constraints(matrix, rhs, constrained)
+    return SparseSystem(matrix, rhs, kind, mesh, constrained)
 
 
 def assemble_p1(mesh, f, rhs_mode="exact-f", constrain=True):
@@ -148,28 +182,7 @@ def assemble_p1(mesh, f, rhs_mode="exact-f", constrain=True):
     rhs_mode='exact-f' the load is the degree-5 quadrature of f phi_i; with
     'projected-f' it is the elementwise mean of f times int phi_i = |T|/4.
     """
-    _check_rhs_mode(rhs_mode)
-    if mesh.n_tets == 0:
-        raise ValueError("empty mesh")
-    vols = element_volumes(mesh)
-    grads = barycentric_gradients(mesh)
-    local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
-    matrix = _scatter_square(local, mesh.tets, mesh.n_vertices)
-
-    lam_loads, f_int = _element_loads(mesh, f, tet_rule_degree5())
-    if rhs_mode == "exact-f":
-        loads = lam_loads
-    else:
-        loads = np.repeat((f_int / 4.0)[:, None], 4, axis=1)
-    rhs = np.bincount(mesh.tets.ravel(), weights=loads.ravel(),
-                      minlength=mesh.n_vertices)
-
-    faces = mesh.faces
-    constrained = np.zeros(mesh.n_vertices, dtype=bool)
-    constrained[np.unique(faces.vertices[faces.boundary])] = True
-    if constrain:
-        matrix, rhs = _apply_constraints(matrix, rhs, constrained)
-    return SparseSystem(matrix, rhs, "p1", mesh, constrained)
+    return _assemble_primal("p1", mesh, f, rhs_mode, constrain)
 
 
 def assemble_cr(mesh, f, rhs_mode="exact-f", constrain=True):
@@ -179,32 +192,7 @@ def assemble_cr(mesh, f, rhs_mode="exact-f", constrain=True):
     coordinates, and int_F theta_i = |F| delta_iF, so constraining boundary
     faces to zero enforces vanishing boundary face means.
     """
-    _check_rhs_mode(rhs_mode)
-    if mesh.n_tets == 0:
-        raise ValueError("empty mesh")
-    faces = mesh.faces
-    nf = faces.n_faces
-    vols = element_volumes(mesh)
-    grads = -3.0 * barycentric_gradients(mesh)
-    local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
-    matrix = _scatter_square(local, faces.tet_faces, nf)
-
-    rule = tet_rule_degree5()
-    if rhs_mode == "exact-f":
-        v = mesh.tet_vertices()
-        x = np.einsum("qi,tid->tqd", rule.points, v)
-        fv = np.asarray(f(x[..., 0], x[..., 1], x[..., 2]), dtype=float)
-        theta = 1.0 - 3.0 * rule.points
-        loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights, theta, fv)
-    else:
-        _, f_int = _element_loads(mesh, f, rule)
-        loads = np.repeat((f_int / 4.0)[:, None], 4, axis=1)
-    rhs = np.bincount(faces.tet_faces.ravel(), weights=loads.ravel(), minlength=nf)
-
-    constrained = faces.boundary.copy()
-    if constrain:
-        matrix, rhs = _apply_constraints(matrix, rhs, constrained)
-    return SparseSystem(matrix, rhs, "cr", mesh, constrained)
+    return _assemble_primal("cr", mesh, f, rhs_mode, constrain)
 
 
 def rt0_mass_matrix(mesh):
@@ -216,12 +204,11 @@ def rt0_mass_matrix(mesh):
     faces = mesh.faces
     v = mesh.tet_vertices()
     vols = element_volumes(mesh)
-    areas, _, _ = local_face_geometry(mesh)
     rule = tet_rule_degree2()
     x = np.einsum("qi,tid->tqd", rule.points, v)
     d = x[:, :, None, :] - v[:, None, :, :]                 # (nt, nq, 4, 3)
     gram = np.einsum("q,tqid,tqjd->tij", rule.weights, d, d)
-    coef = faces.tet_face_signs * areas / (3.0 * vols[:, None])
+    coef = faces.tet_face_signs * rt0_scales(local_face_geometry(mesh)[0], vols)
     local = vols[:, None, None] * coef[:, :, None] * coef[:, None, :] * gram
     return _scatter_square(local, faces.tet_faces, faces.n_faces)
 
@@ -235,9 +222,7 @@ def assemble_rt0_mixed(mesh, f, rhs_mode="projected-f"):
     constant test functions); both modes are accepted for interface symmetry
     with the primal assemblers.  No essential boundary conditions apply.
     """
-    _check_rhs_mode(rhs_mode)
-    if mesh.n_tets == 0:
-        raise ValueError("empty mesh")
+    _check_inputs(mesh, rhs_mode)
     faces = mesh.faces
     nf, nt = faces.n_faces, mesh.n_tets
     areas, _, _ = local_face_geometry(mesh)
@@ -258,10 +243,12 @@ def assemble_rt0_mixed(mesh, f, rhs_mode="projected-f"):
 
 
 def _run_krylov(method, system, preconditioner, tol, max_iter):
+    """Returns x and its solve info (iterations, true relative residual, tol)
+    or raises SolverError."""
     matrix, rhs = system.matrix, system.rhs
     scale = np.linalg.norm(rhs)
     if scale == 0.0:
-        return np.zeros_like(rhs), 0
+        return np.zeros_like(rhs), {"iterations": 0, "residual": 0.0, "tol": tol}
     x = None
     iterations = 0
     rtol = tol / 4.0
@@ -274,10 +261,10 @@ def _run_krylov(method, system, preconditioner, tol, max_iter):
         x, info = method(matrix, rhs, x0=x, rtol=rtol, maxiter=max_iter,
                          M=preconditioner, callback=counter)
         iterations += counter.count
-        residual = np.linalg.norm(rhs - matrix @ x) / scale
+        residual = float(np.linalg.norm(rhs - matrix @ x) / scale)
         if residual <= tol:
-            return x, iterations
-        if info > 0 and counter.count == 0:
+            return x, {"iterations": iterations, "residual": residual, "tol": tol}
+        if not np.isfinite(residual) or (info > 0 and counter.count == 0):
             break
         rtol *= 0.25 * min(tol / residual, 1.0)
         if rtol < 1e-18:
@@ -302,12 +289,8 @@ def solve_spd(system, tol=1e-10, max_iter=200_000):
     if system.kind not in ("p1", "cr"):
         raise ValueError(f"solve_spd expects a p1 or cr system, got {system.kind!r}")
     precond = sp.diags(1.0 / system.matrix.diagonal())
-    x, iterations = _run_krylov(spla.cg, system, precond, tol, max_iter)
-    residual = float(np.linalg.norm(system.rhs - system.matrix @ x)
-                     / max(np.linalg.norm(system.rhs), 1e-300))
-    return Field(system.kind, system.mesh, x,
-                 solve_info={"iterations": iterations, "residual": residual,
-                             "tol": tol})
+    x, info = _run_krylov(spla.cg, system, precond, tol, max_iter)
+    return Field(system.kind, system.mesh, x, solve_info=info)
 
 
 def solve_saddle(system, tol=1e-10, max_iter=200_000):
@@ -322,12 +305,8 @@ def solve_saddle(system, tol=1e-10, max_iter=200_000):
     diag = system.matrix.diagonal()[:nf]
     vols = element_volumes(system.mesh)
     precond = sp.diags(np.concatenate([1.0 / diag, 1.0 / vols]))
-    x, iterations = _run_krylov(spla.minres, system, precond, tol, max_iter)
-    residual = float(np.linalg.norm(system.rhs - system.matrix @ x)
-                     / max(np.linalg.norm(system.rhs), 1e-300))
-    return Field("rt0", system.mesh, x[:nf], cell_coeffs=x[nf:],
-                 solve_info={"iterations": iterations, "residual": residual,
-                             "tol": tol})
+    x, info = _run_krylov(spla.minres, system, precond, tol, max_iter)
+    return Field("rt0", system.mesh, x[:nf], cell_coeffs=x[nf:], solve_info=info)
 
 
 def dump_matrix_market(system, path):

@@ -1,6 +1,13 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from anisofem import analysis
 from anisofem.cli import (ConfigError, DEFAULT_PAIRS, main, select_pairs)
+
+TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 
 
 def run(capsys, argv):
@@ -69,10 +76,32 @@ def test_converge_rt_smoke(capsys):
 
 
 def test_converge_rejects_odd_m(capsys):
-    code, _, err = run(capsys, ["converge", "--element", "cr",
-                                "--pairs", "3:3"])
-    assert code == 2
+    code, out, err = run(capsys, ["converge", "--element", "cr",
+                                  "--pairs", "3:3"])
+    assert code == 2 and out == ""
     assert "even" in err
+    # every bad input is rejected before the header or any solve
+    for extra in (["--pairs", "2:2,3:4"], ["--pairs", "0:2"],
+                  ["--pairs", "2:0"], ["--pairs", "2:2", "--tol", "-1"],
+                  ["--pairs", "2:2", "--tol", "0"],
+                  ["--pairs", "2:2", "--tol", "nan"],
+                  ["--pairs", "2:2", "--tol", "inf"]):
+        code, out, err = run(capsys, ["converge", "--element", "cr"] + extra)
+        assert code == 2, extra
+        assert out == "", extra
+        assert err.startswith("error:"), extra
+
+
+def test_numerical_value_error_exits_1(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("singular element")
+
+    monkeypatch.setattr(analysis, "broken_h1_error", broken)
+    code, out, err = run(capsys, ["converge", "--element", "cr",
+                                  "--pairs", "2:2"])
+    assert code == 1
+    assert out.startswith("M,N,")
+    assert "singular element" in err
 
 
 def test_converge_solver_failure_partial_table(capsys):
@@ -147,3 +176,14 @@ def test_unknown_element_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["converge", "--element", "p7", "--pairs", "2:2"])
     assert exc.value.code == 2
+
+
+def test_traced_layers_exist():
+    # the benchmark's --trace 1 wraps these by name; a rename must fail here
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for module, names in traced.LAYERS.items():
+        mod = importlib.import_module(f"anisofem.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"anisofem.{module}.{name}"

@@ -117,3 +117,21 @@ def test_degenerate_tet_rejected():
 def test_empty_mesh_rejected():
     with pytest.raises(ValueError):
         af.global_metrics(Mesh(np.zeros((0, 3)), np.zeros((0, 4), dtype=int)))
+
+
+def test_per_tet_and_mesh_geometry_agree():
+    # M=2, N=3 has boxes of both split patterns
+    mesh = af.generate_aniso_cube(2, 3)
+    vols = af.element_volumes(mesh)
+    areas, normals, _ = af.geometry.local_face_geometry(mesh)
+    grads = af.geometry.barycentric_gradients(mesh)
+    for t in range(mesh.n_tets):
+        v = mesh.tet_vertices(t)
+        g = af.tet_geometry(mesh, t)
+        assert np.allclose(g.volume, vols[t], rtol=1e-13, atol=0)
+        assert np.allclose(g.face_areas, areas[t], rtol=1e-13, atol=0)
+        basis = af.RT0Basis(v)
+        assert np.allclose(basis.face_areas, areas[t], rtol=1e-13, atol=0)
+        assert np.allclose(basis.normals, normals[t], rtol=1e-13, atol=1e-15)
+        assert np.allclose(af.BarycentricMap(v).gradients, grads[t],
+                           rtol=1e-13, atol=1e-13 * np.abs(grads[t]).max())
