@@ -14,8 +14,8 @@ elementwise from the CR one:
 
 import numpy as np
 
-from .geometry import element_volumes, local_face_geometry
-from .mesh import face_values
+from .geometry import element_volumes
+from .mesh import face_traces
 from .quadrature import (integrate, simplex_measure, tet_rule_degree2,
                          tet_rule_degree5)
 from .system import Field, assemble_cr, solve_spd, _element_loads
@@ -92,27 +92,17 @@ def marini_reconstruct(mesh, cr_field, f, bubble_stiffness=72.0):
     """
     if cr_field.space != "cr" or cr_field.mesh is not mesh:
         raise ValueError("marini_reconstruct needs a CR field on the same mesh")
-    faces = mesh.faces
     v = mesh.tet_vertices()
     vols = element_volumes(mesh)
     _, f_int = _element_loads(mesh, f, tet_rule_degree5())
     fbar = f_int / vols
 
-    grad_cr = cr_field.element_gradients()                    # (nt, 3)
     centres = v.mean(axis=1)
-    _, _, face_centroids = local_face_geometry(mesh)
-    # sigma is affine, so its face mean of sigma . n is its value at the
-    # face centroid dotted with the fixed global normal
+    # sigma = grad u_CR + slope (x - x_T) is affine; the two candidates of an
+    # interior face disagree by the conformity defect
     slope = -24.0 * fbar / bubble_stiffness                   # = -fbar/3 at 72
-    normals = faces.normals[faces.tet_faces]                  # (nt, 4, 3)
-    chi = np.einsum(
-        "tid,tid->ti",
-        grad_cr[:, None, :] + slope[:, None, None] * (face_centroids - centres[:, None, :]),
-        normals,
-    )
-
-    # the two candidates of an interior face disagree by the conformity defect
-    flux, mismatch = face_values(faces, chi)
+    flux, mismatch = face_traces(
+        mesh, slope, slope[:, None] * centres - cr_field.element_gradients())
 
     spread = ((v - centres[:, None, :]) ** 2).sum(axis=(1, 2))
     cell_mean = cr_field.element_coeffs().sum(axis=1) / 4.0

@@ -37,7 +37,6 @@ class TetGeometry:
     diameter: float                # longest edge
     edge_lengths: np.ndarray       # (6,) ordered as EDGE_VERTICES
     barycentre: np.ndarray         # (3,)
-    edge_midpoints: np.ndarray     # (6, 3)
     spread: float                  # sum_i |x_i - barycentre|^2
     face_distances: np.ndarray     # (4,) vertex i to the plane of the opposite face
     face_areas: np.ndarray         # (4,)
@@ -153,7 +152,6 @@ def tet_geometry(mesh, tet_index):
     lengths = _edge_length_table(verts)
     diameter = float(lengths.max())
     barycentre = verts.mean(axis=0)
-    midpoints = 0.5 * (verts[EDGE_VERTICES[:, 0]] + verts[EDGE_VERTICES[:, 1]])
     spread = float(((verts - barycentre) ** 2).sum())
 
     areas = face_geometry(verts[None])[0][0]
@@ -165,7 +163,6 @@ def tet_geometry(mesh, tet_index):
         diameter=diameter,
         edge_lengths=lengths,
         barycentre=barycentre,
-        edge_midpoints=midpoints,
         spread=spread,
         face_distances=distances,
         face_areas=areas,

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import LOCAL_FACES, face_geometry, signed_volumes
+from .geometry import (LOCAL_FACES, face_geometry, local_face_geometry,
+                       signed_volumes)
 
 # Box corners are indexed b = di + 2*dj + 4*dk.  Each row below is one tet of
 # the 5-tet split (central tet first); _SPLIT_ODD is the mirror image used on
@@ -40,17 +41,20 @@ class FaceTable:
 
     Faces are ordered lexicographically by their sorted vertex triple, which
     makes the table reproducible for a given vertex numbering regardless of
-    tet order.  ``normals[i]`` is the unit normal pointing out of
-    ``tets[i, 0]`` (the lower-indexed incident tet); this fixed choice is the
-    global orientation used for Raviart-Thomas flux degrees of freedom.
+    tet order.  The two sides of a face are named by flat slots ``4 t + i``
+    (local face i of tet t): ``sides[f, 0]`` is the lower slot and
+    ``sides[f, 1]`` is -1 on the boundary, so ``sides // 4`` gives the
+    incident tets.  ``normals[f]`` is the unit normal pointing out of the
+    first side; this fixed choice is the global orientation used for
+    Raviart-Thomas flux degrees of freedom.
     """
 
     vertices: np.ndarray   # (nf, 3) sorted vertex triples
-    tets: np.ndarray       # (nf, 2) incident tets, second entry -1 on the boundary
+    sides: np.ndarray      # (nf, 2) flat slots 4 t + i, second entry -1 on the boundary
     boundary: np.ndarray   # (nf,) bool
-    normals: np.ndarray    # (nf, 3) unit normals, outward from tets[:, 0]
+    normals: np.ndarray    # (nf, 3) unit normals, outward from the first side
     tet_faces: np.ndarray  # (nt, 4) global face index of local face i (opposite vertex i)
-    tet_face_signs: np.ndarray  # (nt, 4) +1 where the global normal is outward
+    tet_face_signs: np.ndarray  # (nt, 4) +1 on the first side of each face, else -1
 
     @property
     def n_faces(self):
@@ -145,53 +149,53 @@ def build_face_table(mesh):
     """
     nt = mesh.n_tets
     tris = np.sort(mesh.tets[:, LOCAL_FACES], axis=2).reshape(-1, 3)
-    unique, inverse = np.unique(tris, axis=0, return_inverse=True)
-    nf = len(unique)
-    counts = np.bincount(inverse, minlength=nf)
+    # one stable sort of the 4 nt slots: equal triples end up adjacent, lower
+    # slot first, and the groups come out in lexicographic order
+    order = np.lexsort(tris.T[::-1])
+    ranked = tris[order]
+    first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    start = np.flatnonzero(first)
+    counts = np.diff(np.append(start, len(order)))
     if counts.max() > 2:
-        bad = unique[np.argmax(counts)]
+        bad = ranked[start[np.argmax(counts)]]
         raise ValueError(f"non-manifold input: face {tuple(bad)} has "
                          f"{counts.max()} incident tets")
 
-    tet_faces = inverse.reshape(nt, 4)
-    order = np.argsort(inverse, kind="stable")
-    start = np.searchsorted(inverse[order], np.arange(nf))
-    incident = np.full((nf, 2), -1, dtype=np.int64)
-    incident[:, 0] = order[start] // 4
+    tet_faces = np.empty(4 * nt, dtype=np.int64)
+    tet_faces[order] = np.cumsum(first) - 1
     interior = counts == 2
-    incident[interior, 1] = order[start[interior] + 1] // 4
+    sides = np.full((len(start), 2), -1, dtype=np.int64)
+    sides[:, 0] = order[start]
+    sides[interior, 1] = order[start[interior] + 1]
 
-    # the outward normal of the first (lower-indexed) incident tet's local face
-    normals = face_geometry(mesh.tet_vertices())[1].reshape(-1, 3)[order[start]]
-
-    signs = np.where(incident[tet_faces, 0] == np.arange(nt)[:, None], 1.0, -1.0)
+    normals = face_geometry(mesh.tet_vertices())[1].reshape(-1, 3)[sides[:, 0]]
+    signs = np.full(4 * nt, -1.0)
+    signs[sides[:, 0]] = 1.0
     table = FaceTable(
-        vertices=unique,
-        tets=incident,
+        vertices=ranked[start],
+        sides=sides,
         boundary=~interior,
         normals=normals,
-        tet_faces=tet_faces,
-        tet_face_signs=signs,
+        tet_faces=tet_faces.reshape(nt, 4),
+        tet_face_signs=signs.reshape(nt, 4),
     )
-    for arr in (table.vertices, table.tets, table.boundary, table.normals,
-                table.tet_faces, table.tet_face_signs):
+    for arr in vars(table).values():
         arr.setflags(write=False)
     return table
 
 
-def face_values(faces, local):
-    """Per-face values from per-(tet, local face) values ``local`` (nt, 4).
-
-    Returns the value seen from ``faces.tets[:, 0]``, shape (nf,), and the
-    largest disagreement between the two sides of an interior face.
-    """
-    flat = faces.tet_faces.ravel()
-    order = np.argsort(flat, kind="stable")
-    start = np.searchsorted(flat[order], np.arange(faces.n_faces))
-    ranked = local.ravel()[order]
-    interior = start[~faces.boundary]
-    gaps = np.abs(ranked[interior] - ranked[interior + 1])
-    return ranked[start], float(gaps.max(initial=0.0))
+def face_traces(mesh, a, b):
+    """Face means of sigma . n, with the global normals, for the per-tet affine
+    fields sigma = a x - b (a (nt,), b (nt, 3)), taken at the face centroids:
+    the value seen from the first side of each face, shape (nf,), and the
+    largest disagreement between the two sides of an interior face."""
+    faces = mesh.faces
+    _, _, centroids = local_face_geometry(mesh)
+    sigma = a[:, None, None] * centroids - b[:, None, :]
+    trace = np.einsum("tid,tid->ti", sigma, faces.normals[faces.tet_faces]).ravel()
+    inner = faces.sides[~faces.boundary]
+    gaps = np.abs(trace[inner[:, 0]] - trace[inner[:, 1]])
+    return trace[faces.sides[:, 0]], float(gaps.max(initial=0.0))
 
 
 @dataclass

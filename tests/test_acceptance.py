@@ -6,16 +6,12 @@ places where a published number is inconsistent with its own table are
 documented inline and in the project notes.
 """
 
-import math
 import time
 
-import numpy as np
 import pytest
 
 import anisofem as af
-from anisofem.cli import _verify_checks
-
-from conftest import CASE
+from anisofem.verify import equivalence_checks, identity_checks
 
 # published rows: (M, N) -> (err_h1, err_l2) for the CR and P1 studies
 CR_TABLE_15 = {(4, 8): (8.2569e-02, 3.8242e-03),
@@ -121,43 +117,18 @@ def test_criterion_4_lagrange_degradation(p1_gamma15, p1_gamma20):
 
 def test_criterion_5_marini_equivalence():
     start = time.perf_counter()
-    worst_sigma = worst_u = worst_div = worst_jump = 0.0
-    for m, n in [(2, 2), (4, 8)]:
-        mesh = af.generate_aniso_cube(m, n)
-        cr, _ = af.enriched_cr_solve(mesh, CASE.f, tol=1e-12)
-        rt, jump = af.marini_reconstruct(mesh, cr, CASE.f)
-        direct = af.solve_saddle(af.assemble_rt0_mixed(mesh, CASE.f),
-                                 tol=1e-12)
-        mass = af.rt0_mass_matrix(mesh)
-        vols = af.element_volumes(mesh)
-        dsig = rt.coeffs - direct.coeffs
-        worst_sigma = max(worst_sigma, math.sqrt(
-            (dsig @ mass @ dsig) / (direct.coeffs @ mass @ direct.coeffs)))
-        du = rt.cell_coeffs - direct.cell_coeffs
-        worst_u = max(worst_u, math.sqrt(
-            float(vols @ du ** 2) / float(vols @ direct.cell_coeffs ** 2)))
-        rule = af.tet_rule_degree5()
-        v = mesh.tet_vertices()
-        x = np.einsum("qi,tid->tqd", rule.points, v)
-        fbar = np.einsum("q,tq->t", rule.weights,
-                         CASE.f(x[..., 0], x[..., 1], x[..., 2]))
-        worst_div = max(worst_div,
-                        float(np.abs(rt.flux_divergence() + fbar).max()))
-        worst_jump = max(worst_jump, jump)
+    rows = list(equivalence_checks(flip_rt_signs=False, bubble_stiffness=72.0))
     elapsed = time.perf_counter() - start
-    assert worst_sigma <= 1e-7
-    assert worst_u <= 1e-7
-    assert worst_div <= 1e-11
-    assert worst_jump <= 1e-9
+    for name, dev, tol in rows:
+        assert dev <= tol, f"{name}: deviation {dev:.3e} above {tol:.1e}"
     assert elapsed < 60.0
-    report(5, f"sigma {worst_sigma:.2e}, u {worst_u:.2e}, div {worst_div:.2e},"
-              f" jumps {worst_jump:.2e}, {elapsed:.1f} s")
+    report(5, ", ".join(f"{name} {dev:.2e}" for name, dev, _ in rows)
+           + f", {elapsed:.1f} s")
 
 
 def test_criterion_6_identity_suite():
-    rng = np.random.default_rng(0)
     tolerances = {}
-    for name, dev, tol in _verify_checks(rng):
+    for name, dev, tol in identity_checks():
         assert dev <= tol, f"{name}: deviation {dev:.3e} above {tol:.1e}"
         tolerances[name] = dev
     for required in ("quad_tet_degree2", "quad_tet_degree5", "quad_tri_degree2",

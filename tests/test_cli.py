@@ -75,21 +75,26 @@ def test_converge_rt_smoke(capsys):
     assert int(row[5]) == 152 + 60  # flux plus cell unknowns
 
 
-def test_converge_rejects_odd_m(capsys):
+def test_converge_rejects_odd_m(capsys, tmp_path):
     code, out, err = run(capsys, ["converge", "--element", "cr",
                                   "--pairs", "3:3"])
     assert code == 2 and out == ""
     assert "even" in err
+    missing = tmp_path / "missing"
     # every bad input is rejected before the header or any solve
     for extra in (["--pairs", "2:2,3:4"], ["--pairs", "0:2"],
                   ["--pairs", "2:0"], ["--pairs", "2:2", "--tol", "-1"],
                   ["--pairs", "2:2", "--tol", "0"],
                   ["--pairs", "2:2", "--tol", "nan"],
-                  ["--pairs", "2:2", "--tol", "inf"]):
+                  ["--pairs", "2:2", "--tol", "inf"],
+                  ["--pairs", "2:2", "--out", str(missing / "x.csv")],
+                  ["--pairs", "2:2", "--vtk", str(missing / "stem")]):
         code, out, err = run(capsys, ["converge", "--element", "cr"] + extra)
         assert code == 2, extra
         assert out == "", extra
         assert err.startswith("error:"), extra
+    code, out, err = run(capsys, ["verify", "--out", str(missing / "v.csv")])
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_numerical_value_error_exits_1(capsys, monkeypatch):

@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anisofem as af
-from anisofem.mesh import Mesh
+from anisofem.mesh import Mesh, face_traces
 
 
 def brute_force_faces(tets):
@@ -40,9 +41,46 @@ def test_face_table_against_brute_force_enumeration():
     table = mesh.faces
     assert table.n_faces == len(counter)
     assert list(map(tuple, table.vertices)) == sorted(counter)
-    for tri, row, bnd in zip(table.vertices, table.tets, table.boundary):
+    for tri, row, bnd in zip(table.vertices, table.sides // 4, table.boundary):
         assert counter[tuple(tri)] == (1 if bnd else 2)
         assert (row >= 0).sum() == counter[tuple(tri)]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(m=st.sampled_from([2, 4]), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       b=st.lists(st.floats(-1, 1), min_size=3, max_size=3))
+def test_face_table_properties_under_relabelling(m, n, seed, b):
+    # a random tet permutation and vertex relabelling of a generated mesh
+    base = af.generate_aniso_cube(m, n)
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(base.n_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[relabel] = base.vertices
+    mesh = Mesh(vertices, relabel[base.tets[rng.permutation(base.n_tets)]])
+    table = mesh.faces
+    counter = brute_force_faces(mesh.tets)
+
+    def triple(slot):
+        # local face i of tet t is opposite its vertex i
+        t, i = divmod(int(slot), 4)
+        return tuple(sorted(np.delete(mesh.tets[t], i)))
+
+    assert list(map(tuple, table.vertices)) == sorted(counter)
+    for f, (tri, (s0, s1)) in enumerate(zip(map(tuple, table.vertices), table.sides)):
+        assert table.boundary[f] == (counter[tri] == 1) == (s1 == -1)
+        assert triple(s0) == tri
+        assert s1 == -1 or (s0 < s1 and triple(s1) == tri)
+    for slot, f in enumerate(table.tet_faces.ravel()):
+        assert triple(slot) == tuple(table.vertices[f])
+    first = np.zeros(4 * mesh.n_tets, dtype=bool)
+    first[table.sides[:, 0]] = True
+    assert np.array_equal(table.tet_face_signs.ravel() == 1.0, first)
+    assert np.abs(table.tet_face_signs).min() == 1.0
+
+    # a globally constant field has the same normal trace from both sides
+    _, gap = face_traces(mesh, np.zeros(mesh.n_tets), np.tile(b, (mesh.n_tets, 1)))
+    assert gap <= 1e-14
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (4, 8), (6, 5)])
@@ -96,7 +134,7 @@ def test_interior_normals_oppose():
     # outward normals recomputed independently per tet and local face
     _, outward, _ = af.geometry.local_face_geometry(mesh)
     for f in np.nonzero(~table.boundary)[0]:
-        t0, t1 = table.tets[f]
+        t0, t1 = table.sides[f] // 4
         point = mesh.vertices[table.vertices[f][0]]
         n = table.normals[f]
         # outward from t0, inward to t1

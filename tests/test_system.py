@@ -122,7 +122,7 @@ def dense_rt0_oracle(mesh):
         for i in range(4):
             p, q, r = v[LOCAL_FACES[i]]
             areas[i] = 0.5 * np.linalg.norm(np.cross(q - p, r - p))
-        signs = np.where(faces.tets[faces.tet_faces[t], 0] == t, 1.0, -1.0)
+        signs = np.where(faces.sides[faces.tet_faces[t], 0] // 4 == t, 1.0, -1.0)
         for i in range(4):
             gi = faces.tet_faces[t, i]
             b[t, gi] += signs[i] * areas[i]
