@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import (barycentric_gradients, element_volumes,
                        local_face_geometry, tet_geometry)
 from .mesh import Mesh
-from .quadrature import tet_rule_degree2, tet_rule_degree5, tri_rule_midpoint3
+from .quadrature import mean, tet_rule_degree2, tet_rule_degree5, tri_rule_midpoint3
 from .system import Field, sample_elements
 
 _RULE5 = tet_rule_degree5()
@@ -135,11 +135,7 @@ def convergence_indicator(errors):
 
 def global_cr_interpolant(mesh, u_exact):
     """Face-mean CR interpolant of a continuous function as a global Field."""
-    rule = tri_rule_midpoint3()
-    faces = mesh.faces
-    pts = np.einsum("qi,fid->fqd", rule.points, mesh.vertices[faces.vertices])
-    vals = np.asarray(u_exact(pts[..., 0], pts[..., 1], pts[..., 2]), dtype=float)
-    coeffs = np.einsum("q,fq->f", rule.weights, vals)
+    coeffs = mean(tri_rule_midpoint3(), mesh.vertices[mesh.faces.vertices], u_exact)
     return Field("cr", mesh, coeffs)
 
 

@@ -7,6 +7,7 @@ before any output.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -60,7 +61,17 @@ def select_pairs(gamma, pairs_text=None, large=False):
     return pairs if large else [(m, n) for m, n in pairs if m < 32]
 
 
-def cmd_converge(args, out):
+def _open_out(args):
+    """--out or stdout; opened after the checks, so a rejected run writes nothing."""
+    if not args.out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.out, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot open --out: {exc}") from None
+
+
+def cmd_converge(args):
     pairs = select_pairs(args.gamma, args.pairs, args.large)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ConfigError(f"--tol must be finite and positive, got {args.tol!r}")
@@ -72,34 +83,35 @@ def cmd_converge(args, out):
         "cr": (system.assemble_cr, system.solve_spd),
         "rt": (system.assemble_rt0_mixed, system.solve_saddle),
     }[args.element]
-    out.write(CONVERGE_HEADER + "\n")
-    out.flush()
-    prev_h1 = prev_l2 = None
-    for m, n in pairs:
-        mesh = generate_aniso_cube(m, n)
-        if args.vtk:
-            write_vtk(mesh, f"{args.vtk}.M{m}N{n}.vtk")
-        metrics = geometry.global_metrics(mesh)
-        sys_ = assemble(mesh, case.f, rhs_mode=args.rhs)
-        fld = solve(sys_, tol=args.tol)
-        dofs = len(sys_.rhs)  # vertices (p1), faces (cr), faces + cells (rt)
-
-        err_h1 = analysis.broken_h1_error(mesh, fld, case.grad_u) / case.hess_diag_l2
-        err_l2 = analysis.l2_error(mesh, fld, case.u) / case.hess_diag_l2
-        r_h1 = None if prev_h1 is None else math.log2(prev_h1 / err_h1)
-        r_l2 = None if prev_l2 is None else math.log2(prev_l2 / err_l2)
-        prev_h1, prev_l2 = err_h1, err_l2
-
-        h_nom = (1.0 / m) ** (2.0 - args.gamma)
-        row = [str(m), str(n), _fmt(1.0 / m), _fmt(h_nom),
-               _fmt(metrics.aniso_max), str(dofs),
-               _fmt(err_h1), _fmt(r_h1), _fmt(err_l2), _fmt(r_l2)]
-        out.write(",".join(row) + "\n")
+    with _open_out(args) as out:
+        out.write(CONVERGE_HEADER + "\n")
         out.flush()
+        prev_h1 = prev_l2 = None
+        for m, n in pairs:
+            mesh = generate_aniso_cube(m, n)
+            if args.vtk:
+                write_vtk(mesh, f"{args.vtk}.M{m}N{n}.vtk")
+            metrics = geometry.global_metrics(mesh)
+            sys_ = assemble(mesh, case.f, rhs_mode=args.rhs)
+            fld = solve(sys_, tol=args.tol)
+            dofs = len(sys_.rhs)  # vertices (p1), faces (cr), faces + cells (rt)
+
+            err_h1 = analysis.broken_h1_error(mesh, fld, case.grad_u) / case.hess_diag_l2
+            err_l2 = analysis.l2_error(mesh, fld, case.u) / case.hess_diag_l2
+            r_h1 = None if prev_h1 is None else math.log2(prev_h1 / err_h1)
+            r_l2 = None if prev_l2 is None else math.log2(prev_l2 / err_l2)
+            prev_h1, prev_l2 = err_h1, err_l2
+
+            h_nom = (1.0 / m) ** (2.0 - args.gamma)
+            row = [str(m), str(n), _fmt(1.0 / m), _fmt(h_nom),
+                   _fmt(metrics.aniso_max), str(dofs),
+                   _fmt(err_h1), _fmt(r_h1), _fmt(err_l2), _fmt(r_l2)]
+            out.write(",".join(row) + "\n")
+            out.flush()
     return 0
 
 
-def cmd_interp_demo(args, out):
+def cmd_interp_demo(args):
     try:
         ns = [int(s) for s in args.n_values.split(",")] if args.n_values \
             else DEFAULT_DEMO_N
@@ -107,27 +119,29 @@ def cmd_interp_demo(args, out):
         raise ConfigError(f"bad demo N values {args.n_values!r}") from None
     if any(n <= 0 for n in ns):
         raise ConfigError("demo N values must be positive")
-    out.write("N,h,H_T,err,r\n")
-    prev = None
-    for n in ns:
-        h, aniso, err = analysis.sliver_interp_row(n, gamma=args.gamma)
-        r = "" if prev is None else _fmt(math.log2(prev / err))
-        out.write(f"{n},{_fmt(h)},{_fmt(aniso)},{_fmt(err)},{r}\n")
-        prev = err
-    out.flush()
+    with _open_out(args) as out:
+        out.write("N,h,H_T,err,r\n")
+        prev = None
+        for n in ns:
+            h, aniso, err = analysis.sliver_interp_row(n, gamma=args.gamma)
+            r = "" if prev is None else _fmt(math.log2(prev / err))
+            out.write(f"{n},{_fmt(h)},{_fmt(aniso)},{_fmt(err)},{r}\n")
+            prev = err
+        out.flush()
     return 0
 
 
-def cmd_verify(args, out):
-    out.write("identity,max_deviation,tolerance,status\n")
+def cmd_verify(args):
     failed = False
-    for name, dev, tol in identity_checks(
-            flip_rt_signs=args.flip_rt_signs,
-            bubble_stiffness=args.bubble_stiffness):
-        ok = dev <= tol
-        failed = failed or not ok
-        out.write(f"{name},{_fmt(dev)},{_fmt(tol)},{'pass' if ok else 'FAIL'}\n")
-        out.flush()
+    with _open_out(args) as out:
+        out.write("identity,max_deviation,tolerance,status\n")
+        for name, dev, tol in identity_checks(
+                flip_rt_signs=args.flip_rt_signs,
+                bubble_stiffness=args.bubble_stiffness):
+            ok = dev <= tol
+            failed = failed or not ok
+            out.write(f"{name},{_fmt(dev)},{_fmt(tol)},{'pass' if ok else 'FAIL'}\n")
+            out.flush()
     return 1 if failed else 0
 
 
@@ -170,24 +184,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        out = open(args.out, "w") if args.out else sys.stdout
-    except OSError as exc:
-        print(f"error: cannot open --out: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, out)
+        if not math.isfinite(getattr(args, "gamma", 0.0)):
+            raise ConfigError(f"--gamma must be finite, got {args.gamma!r}")
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (system.SolverError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 if __name__ == "__main__":

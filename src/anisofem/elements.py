@@ -8,30 +8,29 @@ import numpy as np
 
 from .geometry import (LOCAL_FACES, barycentric_coefficients, face_geometry,
                        rt0_scales)
-from .quadrature import (integrate, simplex_measure, tet_rule_degree2,
-                         tet_rule_degree5, tri_rule_midpoint3)
+from .quadrature import mean, simplex_measure, tet_rule_degree5, tri_rule_midpoint3
 
 _TRI_RULE = tri_rule_midpoint3()
 _TET_RULE5 = tet_rule_degree5()
-_TET_RULE2 = tet_rule_degree2()
 
 
 class BarycentricMap:
-    """Affine map from points to barycentric coordinates of one tet."""
+    """Affine map from points to barycentric coordinates of one tet (4, 3) or
+    of a stack of tets (..., 4, 3)."""
 
     def __init__(self, vertices):
         self.vertices = np.asarray(vertices, dtype=float)
-        self._coef = barycentric_coefficients(self.vertices[None])[0]
+        self._coef = barycentric_coefficients(self.vertices)
 
     def coords(self, points):
-        """Barycentric coordinates, (n, 4) for points of shape (n, 3)."""
+        """Barycentric coordinates, (..., n, 4) for points of shape (..., n, 3)."""
         points = np.atleast_2d(points)
-        return points @ self._coef[:3] + self._coef[3]
+        return points @ self._coef[..., :3, :] + self._coef[..., 3, None, :]
 
     @property
     def gradients(self):
-        """Constant gradients of the barycentric coordinates, (4, 3)."""
-        return self._coef[:3].T
+        """Constant gradients of the barycentric coordinates, (..., 4, 3)."""
+        return np.swapaxes(self._coef[..., :3, :], -1, -2)
 
 
 class CRBasis:
@@ -57,53 +56,50 @@ class RT0Basis:
 
     The normal-mean functionals chi_j(v) = (1/|F_j|) int_{F_j} v . n_j with
     outward normals n_j satisfy chi_j(psi_i) = delta_ij, and div psi_i is the
-    constant |F_i|/|T|.
+    constant |F_i|/|T|.  Built on one tet (4, 3) or a stack (..., 4, 3).
     """
 
     def __init__(self, vertices):
         self.vertices = np.asarray(vertices, dtype=float)
         self.volume = simplex_measure(self.vertices)
-        areas, normals, _ = face_geometry(self.vertices[None])
-        self.face_areas, self.normals = areas[0], normals[0]
-        self._scales = rt0_scales(areas, self.volume)[0]
+        self.face_areas, self.normals, _ = face_geometry(self.vertices)
+        self._scales = rt0_scales(self.face_areas, self.volume)
 
     def values(self, points):
-        """(n, 4, 3) array of the four basis fields at each point."""
-        points = np.atleast_2d(points)
-        d = points[:, None, :] - self.vertices[None, :, :]
-        return d * self._scales[None, :, None]
+        """(..., n, 4, 3) array of the four basis fields at each point."""
+        d = np.atleast_2d(points)[..., None, :] - self.vertices[..., None, :, :]
+        return d * self._scales[..., None, :, None]
 
     @property
     def divergences(self):
-        return self.face_areas / self.volume
+        return 3.0 * self._scales
 
     def dof(self, v):
         """chi functionals of a vector field ``v(x, y, z) -> (n, 3)``: the
         normal components of its face means."""
-        return np.einsum("id,id->i", cr_interpolate(self.vertices, v),
+        return np.einsum("...id,...id->...i", cr_interpolate(self.vertices, v),
                          self.normals)
 
 
 def p0_project(vertices, f):
-    """Mean value of ``f`` over the tet, by the degree-5 rule."""
-    return integrate(_TET_RULE5, vertices, f) / simplex_measure(vertices)
+    """Mean value of ``f`` over each tet, by the degree-5 rule."""
+    return mean(_TET_RULE5, vertices, f)
 
 
 def cr_interpolate(vertices, f):
-    """Face-mean Crouzeix-Raviart coefficients of a scalar field.
+    """Face-mean Crouzeix-Raviart coefficients of a scalar field, (..., 4).
 
     Coefficient i is the mean of f over face i, computed with the midpoint
     triangle rule (exact for quadratics).  P1 functions are reproduced.  A
-    vector-valued f gives one mean vector per face.
+    vector-valued f gives one mean vector per face.  ``f`` sees the points of
+    all faces of all tets in one call, as in ``quadrature.integrate``.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    return np.stack([integrate(_TRI_RULE, vertices[face], f)
-                     / simplex_measure(vertices[face]) for face in LOCAL_FACES])
+    return mean(_TRI_RULE, np.asarray(vertices, dtype=float)[..., LOCAL_FACES, :], f)
 
 
 def cr_interpolate_pointwise(vertices, f):
     """Crouzeix-Raviart coefficients sampled at the four face barycentres."""
-    centres = face_geometry(np.asarray(vertices, dtype=float)[None])[2][0]
+    centres = face_geometry(np.asarray(vertices, dtype=float))[2]
     return np.asarray(f(centres[:, 0], centres[:, 1], centres[:, 2]), dtype=float)
 
 
@@ -123,14 +119,13 @@ def rt_eval(vertices, coeffs, points):
 
 
 def local_commuting_check(vertices, v, div_v):
-    """Both sides of the commuting identity div(I^RT v) = P0(div v) on one tet.
+    """Both sides of the commuting identity div(I^RT v) = P0(div v) on each tet
+    of a stack (..., 4, 3); one tet (4, 3) gives two scalars.
 
     ``div_v`` supplies the divergence of ``v`` so the right side comes from an
     honest volume quadrature rather than from the flux integrals that define
     the left side.  Exact agreement requires div v polynomial of degree <= 5.
     """
+    rhs = p0_project(vertices, div_v)
     basis = RT0Basis(vertices)
-    coeffs = basis.dof(v)
-    lhs = float(coeffs @ basis.divergences)
-    rhs = float(p0_project(vertices, div_v))
-    return lhs, rhs
+    return (basis.dof(v) * basis.divergences).sum(axis=-1), rhs

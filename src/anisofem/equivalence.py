@@ -16,50 +16,50 @@ import numpy as np
 
 from .geometry import element_volumes
 from .mesh import face_traces
-from .quadrature import (integrate, simplex_measure, tet_rule_degree2,
-                         tet_rule_degree5)
+from .quadrature import mean, tet_rule_degree2, tet_rule_degree5
 from .system import Field, assemble_cr, solve_spd, _element_loads
 
 _RULE2 = tet_rule_degree2()
 
 
 def bubble_spread(vertices):
-    """L: sum of squared vertex distances to the barycentre."""
+    """L: sum of squared vertex distances to the barycentre, per tet of a
+    stack (..., 4, 3)."""
     vertices = np.asarray(vertices, dtype=float)
-    return float(((vertices - vertices.mean(axis=0)) ** 2).sum())
+    centre = vertices.mean(axis=-2, keepdims=True)
+    return ((vertices - centre) ** 2).sum(axis=(-2, -1))
 
 
 def bubble_eval(vertices, points):
+    """phi_T at points (..., n, 3) of the tets (..., 4, 3), shape (..., n)."""
     vertices = np.asarray(vertices, dtype=float)
-    points = np.atleast_2d(points)
-    centre = vertices.mean(axis=0)
-    return bubble_spread(vertices) - 12.0 * ((points - centre) ** 2).sum(axis=1)
+    centre = vertices.mean(axis=-2, keepdims=True)
+    return (np.expand_dims(bubble_spread(vertices), -1)
+            - 12.0 * ((np.atleast_2d(points) - centre) ** 2).sum(axis=-1))
 
 
 def bubble_grad(vertices, points):
+    """grad phi_T at points (..., n, 3) of the tets (..., 4, 3)."""
     vertices = np.asarray(vertices, dtype=float)
-    points = np.atleast_2d(points)
-    return -24.0 * (points - vertices.mean(axis=0))
+    return -24.0 * (np.atleast_2d(points) - vertices.mean(axis=-2, keepdims=True))
 
 
 def bubble_identities(vertices):
-    """(mean of phi_T, mean of |grad phi_T|^2) over the tet.
+    """(mean of phi_T, mean of |grad phi_T|^2) over each tet of a stack.
 
     Computed with the degree-2 rule, whose integrands here are quadratic, so
     the returned values must equal 2L/5 and 144L/5 exactly.
     """
     vertices = np.asarray(vertices, dtype=float)
-    volume = simplex_measure(vertices)
-    mean = integrate(
-        _RULE2, vertices,
-        lambda x, y, z: bubble_eval(vertices, np.stack([x, y, z], axis=-1)),
-    ) / volume
-    grad_sq = integrate(
-        _RULE2, vertices,
-        lambda x, y, z: (bubble_grad(vertices, np.stack([x, y, z], axis=-1)) ** 2
-                         ).sum(axis=1),
-    ) / volume
-    return float(mean), float(grad_sq)
+    shape = vertices.shape[:-2] + (-1, 3)
+
+    def per_tet(fn):
+        # the rule's points arrive flat, tet after tet
+        return lambda x, y, z: fn(np.stack([x, y, z], axis=-1).reshape(shape)).ravel()
+
+    return (mean(_RULE2, vertices, per_tet(lambda p: bubble_eval(vertices, p))),
+            mean(_RULE2, vertices, per_tet(
+                lambda p: (bubble_grad(vertices, p) ** 2).sum(axis=-1))))
 
 
 def enriched_cr_solve(mesh, f, tol=1e-10):
@@ -104,7 +104,7 @@ def marini_reconstruct(mesh, cr_field, f, bubble_stiffness=72.0):
     flux, mismatch = face_traces(
         mesh, slope, slope[:, None] * centres - cr_field.element_gradients())
 
-    spread = ((v - centres[:, None, :]) ** 2).sum(axis=(1, 2))
+    spread = bubble_spread(v)
     cell_mean = cr_field.element_coeffs().sum(axis=1) / 4.0
     cell = cell_mean + fbar * spread * 2.0 / (5.0 * bubble_stiffness)  # = /180 at 72
     rt = Field("rt0", mesh, flux, cell_coeffs=cell,

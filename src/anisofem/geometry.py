@@ -1,9 +1,9 @@
 """Per-element geometry: volumes, edge data, barycentric gradients, face
 geometry, the RT0 local field and the edge-pair anisotropy measure.
 
-Each per-element formula is written once, over vertex arrays of shape
-(nt, 4, 3); the mesh-level functions apply it to ``mesh.tet_vertices()`` and
-per-tet code passes ``verts[None]``.
+Each per-element formula is written once, over stacks of vertex arrays of
+shape (..., 4, 3); the mesh-level functions apply it to
+``mesh.tet_vertices()`` and per-tet code passes a single (4, 3) array.
 
 The anisotropy measure of a tet is h^2/|T| times a minimum of products of two
 edge lengths.  Two variants are provided: ``aniso`` minimises over all 15
@@ -52,50 +52,41 @@ class MeshMetrics:
 
 
 def signed_volumes(verts):
-    """Signed volumes of tets given by their vertices (nt, 4, 3), shape (nt,)."""
-    return np.einsum(
-        "ij,ij->i",
-        np.cross(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]),
-        verts[:, 3] - verts[:, 0],
-    ) / 6.0
+    """Signed volumes of tets given by their vertices (..., 4, 3), shape (...)."""
+    d = verts[..., 1:, :] - verts[..., :1, :]
+    return np.einsum("...j,...j->...", np.cross(d[..., 0, :], d[..., 1, :]),
+                     d[..., 2, :]) / 6.0
 
 
 def barycentric_coefficients(verts):
-    """Affine coefficients of the barycentric coordinates, shape (nt, 4, 4).
+    """Affine coefficients of the barycentric coordinates, shape (..., 4, 4).
 
     Column i holds (gx, gy, gz, c) of lambda_i(x) = g . x + c.
     """
-    vm = np.concatenate([verts, np.ones(verts.shape[:2] + (1,))], axis=2)
+    vm = np.concatenate([verts, np.ones(verts.shape[:-1] + (1,))], axis=-1)
     return np.linalg.inv(vm)
 
 
 def face_geometry(verts):
     """Areas, outward unit normals and centroids of the 4 faces of each tet.
 
-    Returns (areas, normals, centroids) with shapes (nt, 4), (nt, 4, 3) and
-    (nt, 4, 3); face i is opposite vertex i.
+    Returns (areas, normals, centroids) with shapes (..., 4), (..., 4, 3) and
+    (..., 4, 3); face i is opposite vertex i.
     """
-    nt = len(verts)
-    areas = np.empty((nt, 4))
-    normals = np.empty((nt, 4, 3))
-    centroids = np.empty((nt, 4, 3))
-    xT = verts.mean(axis=1)
-    for i in range(4):
-        a, b, c = (verts[:, j] for j in LOCAL_FACES[i])
-        cross = np.cross(b - a, c - a)
-        areas[:, i] = 0.5 * np.linalg.norm(cross, axis=1)
-        n = cross / (2.0 * areas[:, i, None])
-        inward = np.einsum("tj,tj->t", n, xT - a) > 0
-        n[inward] *= -1.0
-        normals[:, i] = n
-        centroids[:, i] = (a + b + c) / 3.0
-    return areas, normals, centroids
+    a, b, c = (verts[..., LOCAL_FACES[:, j], :] for j in range(3))
+    cross = np.cross(b - a, c - a)
+    areas = 0.5 * np.linalg.norm(cross, axis=-1)
+    normals = cross / (2.0 * areas[..., None])
+    inward = np.einsum("...j,...j->...", normals,
+                       verts.mean(axis=-2, keepdims=True) - a) > 0
+    normals[inward] *= -1.0
+    return areas, normals, (a + b + c) / 3.0
 
 
 def rt0_scales(areas, volumes):
-    """|F_i| / (3|T|) from face areas (nt, 4) and volumes (nt,): the RT0 basis
+    """|F_i| / (3|T|) from face areas (..., 4) and volumes (...): the RT0 basis
     is psi_i = scale_i (x - x_i)."""
-    return areas / (3.0 * np.reshape(volumes, (-1, 1)))
+    return areas / (3.0 * np.asarray(volumes)[..., None])
 
 
 def rt0_affine(verts, coeffs):
@@ -145,7 +136,7 @@ def tet_geometry(mesh, tet_index):
     elements are the object of study, and clamping would hide generator bugs.
     """
     verts = mesh.tet_vertices(tet_index)
-    volume = abs(float(signed_volumes(verts[None])[0]))
+    volume = abs(float(signed_volumes(verts)))
     if volume <= 1e-300:
         raise ValueError(f"degenerate tet {tet_index}: volume {volume!r}")
 
@@ -154,7 +145,7 @@ def tet_geometry(mesh, tet_index):
     barycentre = verts.mean(axis=0)
     spread = float(((verts - barycentre) ** 2).sum())
 
-    areas = face_geometry(verts[None])[0][0]
+    areas = face_geometry(verts)[0]
     distances = 3.0 * volume / areas
 
     aniso, aniso_opp = _aniso_measures(lengths, diameter, volume)

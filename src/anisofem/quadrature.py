@@ -12,6 +12,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from .geometry import signed_volumes
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -64,29 +66,42 @@ def tri_rule_midpoint3():
 
 
 def simplex_measure(vertices):
-    """Volume of a tet (4 vertices) or area of a triangle embedded in R^3."""
+    """Volumes of tets (..., 4, 3) or areas of triangles (..., 3, 3) embedded
+    in R^3, with the stack shape (a scalar for one simplex)."""
     vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape == (4, 3):
-        return abs(np.linalg.det(vertices[1:] - vertices[0])) / 6.0
-    if vertices.shape == (3, 3):
-        return 0.5 * np.linalg.norm(np.cross(vertices[1] - vertices[0],
-                                             vertices[2] - vertices[0]))
-    raise ValueError(f"expected (4,3) or (3,3) vertex array, got {vertices.shape}")
+    if vertices.shape[-2:] == (4, 3):
+        return np.abs(signed_volumes(vertices))
+    if vertices.shape[-2:] == (3, 3):
+        d = vertices[..., 1:, :] - vertices[..., :1, :]
+        return 0.5 * np.linalg.norm(np.cross(d[..., 0, :], d[..., 1, :]), axis=-1)
+    raise ValueError(f"expected (..., 4, 3) or (..., 3, 3) vertex array, "
+                     f"got {vertices.shape}")
+
+
+def mean(rule, vertices, f):
+    """Mean value of ``f`` over each simplex, called as ``integrate``: the
+    weighted sum of its values, since the rule's weights sum to 1."""
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.shape[-2:] != (rule.points.shape[1], 3):
+        raise ValueError(f"rule with {rule.points.shape[1]} barycentric coordinates "
+                         f"does not fit vertices of shape {vertices.shape}")
+    stack = vertices.shape[:-2]
+    if np.any(simplex_measure(vertices) <= 1e-300):
+        raise ValueError("degenerate simplex")
+    x = (rule.points @ vertices).reshape(-1, 3)
+    values = np.asarray(f(x[:, 0], x[:, 1], x[:, 2]), dtype=float)
+    values = values.reshape(stack + rule.weights.shape + values.shape[1:])
+    return np.tensordot(values, rule.weights, (len(stack), 0))[()]
 
 
 def integrate(rule, vertices, f):
-    """Integral of ``f`` over the simplex spanned by ``vertices``.
+    """Integral of ``f`` over each simplex of a stack ``vertices`` (..., k, 3).
 
-    ``f(x, y, z)`` must accept equal-length coordinate arrays; scalar or
-    vector values are fine (any trailing shape is summed with the weights).
+    The result has the stack shape followed by the value shape.  ``f(x, y, z)``
+    still receives flat 1-D coordinate arrays: the rule's points on the first
+    simplex, then on the next, in C order over the stack.  Its values may be
+    scalar or vector-valued, with the points along their first axis.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    if rule.points.shape[1] != len(vertices):
-        raise ValueError(f"rule with {rule.points.shape[1]} barycentric "
-                         f"coordinates does not fit {len(vertices)} vertices")
+    means = mean(rule, vertices, f)
     measure = simplex_measure(vertices)
-    if measure <= 1e-300:
-        raise ValueError("degenerate simplex")
-    x = rule.points @ vertices
-    values = np.asarray(f(x[:, 0], x[:, 1], x[:, 2]), dtype=float)
-    return measure * np.einsum("q,q...->...", rule.weights, values)
+    return np.expand_dims(measure, tuple(range(measure.ndim, means.ndim))) * means

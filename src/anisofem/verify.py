@@ -12,80 +12,49 @@ from . import mesh as meshgen
 
 
 def identity_checks(flip_rt_signs=False, bubble_stiffness=72.0):
-    """Run every identity check; yields (name, max deviation, tolerance)."""
+    """Run every identity check, each once over a stack of simplices; yields
+    (name, max deviation, tolerance)."""
     rng = np.random.default_rng(0)  # fixed: reruns print the same rows
 
-    def random_tet():
-        while True:
-            v = rng.uniform(-1.0, 1.0, (4, 3))
-            if quadrature.simplex_measure(v) > 1e-3:
-                return v
+    def random_tets(count):
+        # rejection sampling in batches that draw exactly the candidates
+        # one-at-a-time sampling would draw, so the stream stays in step
+        tets = np.empty((0, 4, 3))
+        while len(tets) < count:
+            v = rng.uniform(-1.0, 1.0, (count - len(tets), 4, 3))
+            tets = np.concatenate([tets, v[quadrature.simplex_measure(v) > 1e-3]])
+        return tets
 
     # quadrature exactness against the closed-form simplex monomial integrals
-    def bary_moment(exponents, dim):
-        num = 1
-        for e in exponents:
-            num *= math.factorial(e)
-        return num * math.factorial(dim) / math.factorial(sum(exponents) + dim)
-
     for rule, name in [(quadrature.tet_rule_degree2(), "quad_tet_degree2"),
                        (quadrature.tet_rule_degree5(), "quad_tet_degree5")]:
-        exponents = list(_monomial_exponents(4, rule.degree))
-        dev = 0.0
-        for _ in range(100):
-            v = random_tet()
-            vol = quadrature.simplex_measure(v)
-            bmap = elements.BarycentricMap(v)
-            for e in exponents:
-                got = quadrature.integrate(
-                    rule, v,
-                    lambda x, y, z: np.prod(
-                        bmap.coords(np.stack([x, y, z], axis=-1))
-                        ** np.asarray(e), axis=-1))
-                exact = bary_moment(e, 3) * vol
-                dev = max(dev, abs(got - exact) / max(abs(exact), 1e-300))
-        yield name, dev, 1e-12
-
-    rule = quadrature.tri_rule_midpoint3()
-    dev = 0.0
-    for _ in range(100):
-        v = rng.uniform(-1.0, 1.0, (3, 3))
-        area = quadrature.simplex_measure(v)
-        if area < 1e-3:
-            continue
-        for e in _monomial_exponents(3, 2):
-            vals = rule.points ** np.asarray(e)
-            got = area * rule.weights @ np.prod(vals, axis=1)
-            exact = bary_moment(e, 2) * area
-            dev = max(dev, abs(got - exact) / max(abs(exact), 1e-300))
-    yield "quad_tri_degree2", dev, 1e-12
+        yield name, _exactness_deviation(rule, random_tets(100)), 1e-12
+    tris = rng.uniform(-1.0, 1.0, (100, 3, 3))
+    tris = tris[quadrature.simplex_measure(tris) >= 1e-3]
+    yield ("quad_tri_degree2",
+           _exactness_deviation(quadrature.tri_rule_midpoint3(), tris), 1e-12)
 
     # bubble identities over a generated mesh plus random tets
-    mesh = meshgen.generate_aniso_cube(4, 8)
-    dev_face = dev_mean = dev_grad = 0.0
-    tet_list = list(mesh.tet_vertices()) + [random_tet() for _ in range(20)]
-    for v in tet_list:
-        spread = equivalence.bubble_spread(v)
-        face_means = elements.cr_interpolate(
-            v, lambda x, y, z: equivalence.bubble_eval(
-                v, np.stack([x, y, z], axis=-1)))
-        dev_face = max(dev_face, float(np.abs(face_means).max()) / spread)
-        mean, grad_sq = equivalence.bubble_identities(v)
-        dev_mean = max(dev_mean, abs(mean - 0.4 * spread) / spread)
-        dev_grad = max(dev_grad, abs(grad_sq - 28.8 * spread) / (28.8 * spread))
-    yield "bubble_face_means", dev_face, 1e-12
-    yield "bubble_volume_mean", dev_mean, 1e-12
-    yield "bubble_gradient_mean", dev_grad, 1e-12
+    tets = np.concatenate([meshgen.generate_aniso_cube(4, 8).tet_vertices(),
+                           random_tets(20)])
+    spread = equivalence.bubble_spread(tets)
+    face_means = elements.cr_interpolate(
+        tets, lambda x, y, z: equivalence.bubble_eval(
+            tets, np.stack([x, y, z], axis=-1).reshape(len(tets), -1, 3)).ravel())
+    mean, grad_sq = equivalence.bubble_identities(tets)
+    for name, dev in [
+            ("bubble_face_means", np.abs(face_means).max(axis=1) / spread),
+            ("bubble_volume_mean", np.abs(mean - 0.4 * spread) / spread),
+            ("bubble_gradient_mean", np.abs(grad_sq - 28.8 * spread) / (28.8 * spread))]:
+        yield name, float(dev.max()), 1e-12
 
-    # commuting identity on random quadratic vector fields
-    dev = 0.0
-    for _ in range(100):
-        v = random_tet()
-        c = rng.uniform(-1.0, 1.0, (3, 10))
-        field, div_field = _random_quadratic_field(c)
-        lhs, rhs = elements.local_commuting_check(v, field, div_field)
-        dev = max(dev, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    yield "commuting_rt_projection", dev, 1e-12
+    # commuting identity on random quadratic vector fields, one per tet
+    tets, coeffs = zip(*[(random_tets(1)[0], rng.uniform(-1.0, 1.0, (3, 10)))
+                         for _ in range(100)])
+    field, div_field = _random_quadratic_field(np.array(coeffs))
+    lhs, rhs = elements.local_commuting_check(np.array(tets), field, div_field)
+    yield ("commuting_rt_projection",
+           float((np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)).max()), 1e-12)
 
     # duality identity on the small mesh
     mesh22 = meshgen.generate_aniso_cube(2, 2)
@@ -128,24 +97,49 @@ def equivalence_checks(flip_rt_signs, bubble_stiffness):
     yield "flux_normal_jumps", dev_trace, 1e-9
 
 
-def _monomial_exponents(k, degree):
-    return (e for e in itertools.product(range(degree + 1), repeat=k)
-            if sum(e) <= degree)
+def _exactness_deviation(rule, simplices):
+    """Largest relative error of ``rule`` on the barycentric monomials up to its
+    degree over simplices (n, k, 3), the integrand mapping each physical point
+    back to barycentric coordinates."""
+    n, k = simplices.shape[:2]
+    # a triangle is the face opposite an apex added off its plane
+    apex = simplices[:, :1] + np.cross(simplices[:, 1] - simplices[:, 0],
+                                       simplices[:, 2] - simplices[:, 0])[:, None]
+    bmap = elements.BarycentricMap(
+        simplices if k == 4 else np.concatenate([simplices, apex], axis=1))
+    exponents = np.array([e for e in itertools.product(range(rule.degree + 1), repeat=k)
+                          if sum(e) <= rule.degree])
+
+    def monomials(x, y, z):
+        lam = bmap.coords(np.stack([x, y, z], axis=-1).reshape(n, -1, 3))[..., :k]
+        return np.prod(lam[..., None, :] ** exponents, axis=-1).reshape(len(x), -1)
+
+    # int over S of prod lambda_i^e_i = (prod e_i!) d! |S| / (sum e_i + d)!
+    moments = [math.prod(map(math.factorial, e)) * math.factorial(k - 1)
+               / math.factorial(sum(e) + k - 1) for e in exponents]
+    exact = np.outer(quadrature.simplex_measure(simplices), moments)
+    got = quadrature.integrate(rule, simplices, monomials)
+    return float((np.abs(got - exact) / np.maximum(np.abs(exact), 1e-300)).max())
 
 
 def _random_quadratic_field(c):
-    def basis(x, y, z):
-        return np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z,
-                         x * y, x * z, y * z], axis=-1)
-
+    """Quadratic vector fields with coefficients c (nt, 3, 10), one per tet of
+    a stack, and their divergences, as integrands over that stack; the flat
+    coordinates are regrouped per tet."""
     def field(x, y, z):
-        return basis(x, y, z) @ c.T
+        x, y, z = (t.reshape(len(c), -1) for t in (x, y, z))
+        basis = np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z,
+                          x * y, x * z, y * z], axis=-1)
+        return (basis @ c.transpose(0, 2, 1)).reshape(-1, 3)
 
     def div_field(x, y, z):
+        x, y, z = (t.reshape(len(c), -1) for t in (x, y, z))
+        k = c[..., None]  # (nt, 3, 10, 1) against points (nt, n)
         # d/dx of component 0 plus d/dy of 1 plus d/dz of 2
-        return (c[0, 1] + 2 * c[0, 4] * x + c[0, 7] * y + c[0, 8] * z
-                + c[1, 2] + 2 * c[1, 5] * y + c[1, 7] * x + c[1, 9] * z
-                + c[2, 3] + 2 * c[2, 6] * z + c[2, 8] * x + c[2, 9] * y)
+        return (k[:, 0, 1] + 2 * k[:, 0, 4] * x + k[:, 0, 7] * y + k[:, 0, 8] * z
+                + k[:, 1, 2] + 2 * k[:, 1, 5] * y + k[:, 1, 7] * x + k[:, 1, 9] * z
+                + k[:, 2, 3] + 2 * k[:, 2, 6] * z + k[:, 2, 8] * x + k[:, 2, 9] * y
+                ).ravel()
 
     return field, div_field
 

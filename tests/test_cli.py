@@ -81,20 +81,31 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "even" in err
     missing = tmp_path / "missing"
-    # every bad input is rejected before the header or any solve
-    for extra in (["--pairs", "2:2,3:4"], ["--pairs", "0:2"],
-                  ["--pairs", "2:0"], ["--pairs", "2:2", "--tol", "-1"],
-                  ["--pairs", "2:2", "--tol", "0"],
-                  ["--pairs", "2:2", "--tol", "nan"],
-                  ["--pairs", "2:2", "--tol", "inf"],
-                  ["--pairs", "2:2", "--out", str(missing / "x.csv")],
-                  ["--pairs", "2:2", "--vtk", str(missing / "stem")]):
-        code, out, err = run(capsys, ["converge", "--element", "cr"] + extra)
-        assert code == 2, extra
-        assert out == "", extra
-        assert err.startswith("error:"), extra
-    code, out, err = run(capsys, ["verify", "--out", str(missing / "v.csv")])
-    assert code == 2 and out == "" and err.startswith("error:")
+    existing = tmp_path / "existing.csv"
+    existing.write_text("kept\n")
+    conv = ["converge", "--element", "cr"]
+    # every bad input is rejected before the header or any solve, and an
+    # existing --out file keeps its bytes
+    for argv in [conv + extra for extra in (
+            ["--pairs", "2:2,3:4"], ["--pairs", "0:2"],
+            ["--pairs", "2:0"], ["--pairs", "2:2", "--tol", "-1"],
+            ["--pairs", "2:2", "--tol", "0"],
+            ["--pairs", "2:2", "--tol", "nan"],
+            ["--pairs", "2:2", "--tol", "inf"],
+            ["--pairs", "2:2", "--gamma", "nan"],
+            ["--pairs", "3:3", "--out", str(existing)],
+            ["--pairs", "2:2", "--gamma", "inf", "--out", str(existing)],
+            ["--pairs", "2:2", "--out", str(missing / "x.csv")],
+            ["--pairs", "2:2", "--vtk", str(missing / "stem")])] + [
+            ["interp-demo", "--gamma", "nan"],
+            ["interp-demo", "--n-values", "-3", "--out", str(existing)],
+            ["interp-demo", "--gamma", "nan", "--out", str(existing)],
+            ["verify", "--out", str(missing / "v.csv")]]:
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("error:"), argv
+        assert existing.read_text() == "kept\n", argv
 
 
 def test_numerical_value_error_exits_1(capsys, monkeypatch):

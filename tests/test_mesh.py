@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import anisofem as af
 from anisofem.mesh import Mesh, face_traces
 
+from conftest import CASE
+
 
 def brute_force_faces(tets):
     counter = {}
@@ -57,7 +59,8 @@ def test_face_table_properties_under_relabelling(m, n, seed, b):
     relabel = rng.permutation(base.n_vertices)
     vertices = np.empty_like(base.vertices)
     vertices[relabel] = base.vertices
-    mesh = Mesh(vertices, relabel[base.tets[rng.permutation(base.n_tets)]])
+    perm = rng.permutation(base.n_tets)
+    mesh = Mesh(vertices, relabel[base.tets[perm]])
     table = mesh.faces
     counter = brute_force_faces(mesh.tets)
 
@@ -81,6 +84,16 @@ def test_face_table_properties_under_relabelling(m, n, seed, b):
     # a globally constant field has the same normal trace from both sides
     _, gap = face_traces(mesh, np.zeros(mesh.n_tets), np.tile(b, (mesh.n_tets, 1)))
     assert gap <= 1e-14
+
+    # assembly does not depend on the ordering: matrices and right-hand sides
+    # agree entry for entry through the vertex and face correspondence
+    face_map = np.empty(base.faces.n_faces, dtype=np.int64)
+    face_map[base.faces.tet_faces[perm]] = table.tet_faces
+    for assemble, dof_map in ((af.assemble_p1, relabel), (af.assemble_cr, face_map)):
+        old, new = assemble(base, CASE.f), assemble(mesh, CASE.f)
+        np.testing.assert_allclose(new.matrix.toarray()[np.ix_(dof_map, dof_map)],
+                                   old.matrix.toarray(), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(new.rhs[dof_map], old.rhs, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (4, 8), (6, 5)])
