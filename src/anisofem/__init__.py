@@ -19,7 +19,7 @@ from .mesh import (FaceTable, Mesh, build_face_table, generate_aniso_cube,
 from .quadrature import (QuadratureRule, integrate, simplex_measure,
                          tet_rule_degree2, tet_rule_degree5, tri_rule_midpoint3)
 from .system import (Field, SolverError, SparseSystem, assemble_cr, assemble_p1,
-                     assemble_rt0_mixed, dump_matrix_market, rt0_mass_matrix,
-                     solve_saddle, solve_spd)
+                     assemble_rt0_mixed, rt0_mass_matrix, solve_saddle,
+                     solve_spd)
 
 __version__ = "0.1.0"

@@ -62,6 +62,8 @@ class RT0Basis:
     def __init__(self, vertices):
         self.vertices = np.asarray(vertices, dtype=float)
         self.volume = simplex_measure(self.vertices)
+        if np.any(self.volume <= 1e-300):
+            raise ValueError("degenerate tet: RT0 basis needs a positive volume")
         self.face_areas, self.normals, _ = face_geometry(self.vertices)
         self._scales = rt0_scales(self.face_areas, self.volume)
 

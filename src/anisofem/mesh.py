@@ -145,9 +145,12 @@ def generate_aniso_cube(M, N):
 def build_face_table(mesh):
     """Enumerate the unique faces of ``mesh`` with incidence and orientation.
 
-    Raises ValueError if some face has more than two incident tets.
+    Raises ValueError if the mesh is empty or some face has more than two
+    incident tets.
     """
     nt = mesh.n_tets
+    if nt == 0:
+        raise ValueError("empty mesh")
     tris = np.sort(mesh.tets[:, LOCAL_FACES], axis=2).reshape(-1, 3)
     # one stable sort of the 4 nt slots: equal triples end up adjacent, lower
     # slot first, and the groups come out in lexicographic order

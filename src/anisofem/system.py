@@ -8,7 +8,10 @@ unit diagonal is left in place, which keeps the P1/CR matrices symmetric
 positive definite.  The mixed system is the symmetric indefinite block matrix
 [[A, B^T], [B, 0]] over flux and cell unknowns; flux DOFs follow the fixed
 face normals of the mesh face table, so normal continuity holds by
-construction.
+construction.  ``converge`` gets its RT0 rows from the CR solve with projected
+data and the closed-form reconstruction of ``equivalence``; the mixed system
+and its MINRES solve are the independent oracle that ``verify`` checks the
+reconstruction against.
 """
 
 from dataclasses import dataclass, field
@@ -134,20 +137,14 @@ def _apply_constraints(matrix, rhs, constrained):
     return matrix.tocsr(), rhs
 
 
-def _check_inputs(mesh, rhs_mode):
-    if rhs_mode not in RHS_MODES:
-        raise ValueError(f"rhs_mode must be one of {RHS_MODES}, got {rhs_mode!r}")
-    if mesh.n_tets == 0:
-        raise ValueError("empty mesh")
-
-
 def _assemble_primal(kind, mesh, f, rhs_mode, constrain):
     """P1 (vertex DOFs) or CR (face DOFs) system.
 
     The CR basis theta_i = 1 - 3 lambda_i has -3 times the barycentric
     gradients and the exact load int f - 3 int f lambda_i.
     """
-    _check_inputs(mesh, rhs_mode)
+    if rhs_mode not in RHS_MODES:
+        raise ValueError(f"rhs_mode must be one of {RHS_MODES}, got {rhs_mode!r}")
     faces = mesh.faces
     grads = barycentric_gradients(mesh)
     if kind == "p1":
@@ -213,16 +210,13 @@ def rt0_mass_matrix(mesh):
     return _scatter_square(local, faces.tet_faces, faces.n_faces)
 
 
-def assemble_rt0_mixed(mesh, f, rhs_mode="projected-f"):
+def assemble_rt0_mixed(mesh, f):
     """Dual mixed RT0 x P0 system for sigma = grad u, div sigma = -f.
 
     Unknowns are face-normal fluxes followed by cell values.  The data enters
-    only through element integrals of f, so 'exact-f' and 'projected-f' give
-    the same right-hand side (the projection is invisible to piecewise
-    constant test functions); both modes are accepted for interface symmetry
-    with the primal assemblers.  No essential boundary conditions apply.
+    only through element integrals of f, so projecting f onto piecewise
+    constants changes nothing.  No essential boundary conditions apply.
     """
-    _check_inputs(mesh, rhs_mode)
     faces = mesh.faces
     nf, nt = faces.n_faces, mesh.n_tets
     areas, _, _ = local_face_geometry(mesh)
@@ -307,10 +301,3 @@ def solve_saddle(system, tol=1e-10, max_iter=200_000):
     precond = sp.diags(np.concatenate([1.0 / diag, 1.0 / vols]))
     x, info = _run_krylov(spla.minres, system, precond, tol, max_iter)
     return Field("rt0", system.mesh, x[:nf], cell_coeffs=x[nf:], solve_info=info)
-
-
-def dump_matrix_market(system, path):
-    """Write the assembled matrix in Matrix Market coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, system.matrix.tocoo())

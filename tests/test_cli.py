@@ -2,9 +2,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from anisofem import analysis
+import anisofem as af
+from anisofem import analysis, cli
 from anisofem.cli import (ConfigError, DEFAULT_PAIRS, main, select_pairs)
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
@@ -73,6 +75,30 @@ def test_converge_rt_smoke(capsys):
     assert row[0] == "2" and row[1] == "3"
     assert float(row[6]) > 0  # sigma error column populated
     assert int(row[5]) == 152 + 60  # flux plus cell unknowns
+
+
+def test_converge_rt_matches_saddle_oracle(capsys, monkeypatch):
+    # rt rows come from the CR solve plus the closed-form reconstruction; at
+    # full precision they match MINRES on the mixed system, and --rhs has no
+    # effect on them
+    monkeypatch.setattr(cli, "_fmt", lambda x: "" if x is None else f"{x:.17e}")
+    argv = ["converge", "--element", "rt", "--pairs", "2:3,4:8"]
+    code, out, _ = run(capsys, argv + ["--rhs", "exact-f"])
+    assert code == 0
+    assert run(capsys, argv + ["--rhs", "projected-f"])[1] == out
+    case = af.cube_polynomial_case()
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 2
+    for row, (m, n) in zip(rows, [(2, 3), (4, 8)]):
+        mesh = af.generate_aniso_cube(m, n)
+        direct = af.solve_saddle(af.assemble_rt0_mixed(mesh, case.f), tol=1e-12)
+        assert int(row[5]) == len(direct.coeffs) + len(direct.cell_coeffs)
+        np.testing.assert_allclose(
+            float(row[6]), af.broken_h1_error(mesh, direct, case.grad_u)
+            / case.hess_diag_l2, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(
+            float(row[8]), af.l2_error(mesh, direct, case.u) / case.hess_diag_l2,
+            rtol=1e-8, atol=0.0)
 
 
 def test_converge_rejects_odd_m(capsys, tmp_path):

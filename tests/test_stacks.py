@@ -45,7 +45,7 @@ CASES = [
     ("barycentric_coords", lambda v, p: af.BarycentricMap(v).coords(p), [(5, 4)], False),
     ("barycentric_gradients", lambda v, p: af.BarycentricMap(v).gradients,
      [(4, 3)], False),
-    ("rt0_values", lambda v, p: af.RT0Basis(v).values(p), [(5, 4, 3)], False),
+    ("rt0_values", lambda v, p: af.RT0Basis(v).values(p), [(5, 4, 3)], True),
     ("rt0_dof", lambda v, p: af.RT0Basis(v).dof(_field), [(4,)], True),
     ("bubble_spread", lambda v, p: af.bubble_spread(v), [()], False),
     ("bubble_eval", lambda v, p: af.bubble_eval(v, p), [(5,)], False),

@@ -151,7 +151,7 @@ def test_rt0_assembly_matches_two_tet_oracle():
 
 def test_saddle_solve_matches_dense_lu():
     mesh = two_tet_mesh()
-    system = af.assemble_rt0_mixed(mesh, CASE.f, rhs_mode="projected-f")
+    system = af.assemble_rt0_mixed(mesh, CASE.f)
     field = af.solve_saddle(system, tol=1e-12)
     dense = system.matrix.toarray()
     exact = np.linalg.solve(dense, system.rhs)
@@ -219,18 +219,6 @@ def test_rt0_field_invariant_under_tet_reordering():
     assert np.abs(b.flux_values(centre) - a.flux_values(centre)[perm]).max() \
         < 1e-9
     assert np.abs(b.cell_coeffs - a.cell_coeffs[perm]).max() < 1e-9
-
-
-def test_matrix_market_dump(tmp_path):
-    from scipy.io import mmread
-
-    mesh = af.generate_aniso_cube(2, 2)
-    system = af.assemble_cr(mesh, CASE.f)
-    path = tmp_path / "matrix.mtx"
-    af.dump_matrix_market(system, path)
-    back = mmread(path).tocsr()
-    assert np.abs((back - system.matrix).tocoo().data).max() < 1e-15 \
-        if (back - system.matrix).nnz else True
 
 
 def test_empty_mesh_rejected():
