@@ -3,11 +3,11 @@ the saddle-point problem.
 
 Per tet the quadratic bubble L - 12|x - x_T|^2 has vanishing face means, so
 enriching the CR space by bubbles decouples: the bubble coefficient is just
-(mean of f)/72.  The gradient of the enriched solution is then an admissible
-RT0 flux, and elementwise
+gamma = (mean of f)/72.  The gradient of the enriched solution is then an
+admissible RT0 flux, and elementwise
 
-    sigma|_T = grad(u_CR) - (1/3) mean(f) (x - x_T)
-    u|_T     = mean(u_CR) + (1/180) mean(f) sum_i |x_i - x_T|^2
+    sigma|_T = grad(u_CR) - 24 gamma (x - x_T)
+    u|_T     = mean(u_CR) + (2/5) gamma sum_i |x_i - x_T|^2
 
 equals the mixed solution with elementwise-averaged data exactly.
 """
@@ -32,7 +32,7 @@ case = af.cube_polynomial_case()
 for m, n in [(2, 2), (4, 8)]:
     mesh = af.generate_aniso_cube(m, n)
     cr, gamma = af.enriched_cr_solve(mesh, case.f, tol=1e-12)
-    rt, jump = af.marini_reconstruct(mesh, cr, case.f)
+    rt, jump = af.marini_reconstruct(mesh, cr, gamma)
     direct = af.solve_saddle(af.assemble_rt0_mixed(mesh, case.f), tol=1e-12)
 
     mass = af.rt0_mass_matrix(mesh)

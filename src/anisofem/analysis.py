@@ -17,8 +17,9 @@ import numpy as np
 from .geometry import (barycentric_gradients, element_volumes,
                        local_face_geometry, tet_geometry)
 from .mesh import Mesh
-from .quadrature import mean, tet_rule_degree2, tet_rule_degree5, tri_rule_midpoint3
-from .system import Field, sample_elements
+from .quadrature import (mean, sample, tet_rule_degree2, tet_rule_degree5,
+                         tri_rule_midpoint3)
+from .system import Field
 
 _RULE5 = tet_rule_degree5()
 
@@ -79,7 +80,7 @@ def l2_error(mesh, field, u_exact, rule=None):
     For rt0 fields the piecewise-constant cell part is compared.
     """
     rule = rule or _RULE5
-    exact = sample_elements(mesh, u_exact, rule)
+    exact = sample(rule, mesh.tet_vertices(), u_exact)
     if field.space == "rt0":
         values = field.cell_coeffs[:, None]
     else:
@@ -94,7 +95,7 @@ def broken_h1_error(mesh, field, grad_exact, rule=None):
     For rt0 fields the flux sigma plays the role of the discrete gradient.
     """
     rule = rule or _RULE5
-    exact = sample_elements(mesh, grad_exact, rule)
+    exact = sample(rule, mesh.tet_vertices(), grad_exact)
     if field.space == "rt0":
         diff = exact - field.flux_values(rule.points)
     else:

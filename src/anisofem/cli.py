@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from . import analysis, equivalence, geometry, system
+from . import analysis, elements, equivalence, geometry, system
 from .mesh import generate_aniso_cube, write_vtk
 from .verify import identity_checks
 
@@ -52,7 +52,7 @@ def _fmt(x):
 
 def select_pairs(gamma, pairs_text=None, large=False):
     """Mesh pairs for a study: an explicit M:N list or the published defaults."""
-    if pairs_text:
+    if pairs_text is not None:
         return _parse_pairs(pairs_text)
     match = [g for g in DEFAULT_PAIRS if abs(g - gamma) < 1e-9]
     if not match:
@@ -79,8 +79,6 @@ def cmd_converge(args):
         raise ConfigError(f"--vtk directory of {args.vtk!r} does not exist")
     case = analysis.cube_polynomial_case()
     assemble = system.assemble_p1 if args.element == "p1" else system.assemble_cr
-    # rt rebuilds the mixed solution from the CR one with projected data
-    rhs_mode = "projected-f" if args.element == "rt" else args.rhs
     with _open_out(args) as out:
         out.write(CONVERGE_HEADER + "\n")
         out.flush()
@@ -90,12 +88,16 @@ def cmd_converge(args):
             if args.vtk:
                 write_vtk(mesh, f"{args.vtk}.M{m}N{n}.vtk")
             metrics = geometry.global_metrics(mesh)
-            sys_ = assemble(mesh, case.f, rhs_mode=rhs_mode)
-            fld = system.solve_spd(sys_, tol=args.tol)
-            dofs = len(sys_.rhs)  # vertices (p1), faces (cr)
             if args.element == "rt":
-                fld, _ = equivalence.marini_reconstruct(mesh, fld, case.f)
-                dofs += mesh.n_tets  # faces + cells
+                # the mixed solution is rebuilt from the enriched CR one
+                cr, gamma = equivalence.enriched_cr_solve(mesh, case.f, tol=args.tol)
+                fld, _ = equivalence.marini_reconstruct(mesh, cr, gamma)
+                dofs = len(cr.coeffs) + mesh.n_tets  # faces + cells
+            else:
+                data = (elements.p0_project(mesh.tet_vertices(), case.f)
+                        if args.rhs == "projected-f" else case.f)
+                fld = system.solve_spd(assemble(mesh, data), tol=args.tol)
+                dofs = len(fld.coeffs)  # vertices (p1), faces (cr)
 
             err_h1 = analysis.broken_h1_error(mesh, fld, case.grad_u) / case.hess_diag_l2
             err_l2 = analysis.l2_error(mesh, fld, case.u) / case.hess_diag_l2
@@ -114,8 +116,8 @@ def cmd_converge(args):
 
 def cmd_interp_demo(args):
     try:
-        ns = [int(s) for s in args.n_values.split(",")] if args.n_values \
-            else DEFAULT_DEMO_N
+        ns = DEFAULT_DEMO_N if args.n_values is None \
+            else [int(s) for s in args.n_values.split(",")]
     except ValueError:
         raise ConfigError(f"bad demo N values {args.n_values!r}") from None
     if any(n <= 0 for n in ns):
@@ -133,6 +135,9 @@ def cmd_interp_demo(args):
 
 
 def cmd_verify(args):
+    if not (math.isfinite(args.bubble_stiffness) and args.bubble_stiffness != 0):
+        raise ConfigError(f"--bubble-stiffness must be finite and nonzero, "
+                          f"got {args.bubble_stiffness!r}")
     failed = False
     with _open_out(args) as out:
         out.write("identity,max_deviation,tolerance,status\n")
@@ -159,8 +164,10 @@ def build_parser():
     conv.add_argument("--pairs", help="comma-separated M:N list overriding defaults")
     conv.add_argument("--rhs", choices=["exact-f", "projected-f"],
                       default="exact-f",
-                      help="load of the p1/cr systems; rt always solves CR with "
-                      "projected data, so it has no effect there")
+                      help="load of the p1/cr systems: f against each basis "
+                      "function, or the cell means of f; rt always builds the "
+                      "enriched CR solution from the cell means, so it has no "
+                      "effect there")
     conv.add_argument("--tol", type=float, default=1e-10)
     conv.add_argument("--large", action="store_true",
                       help="include the M=32 rows of the default pair lists")

@@ -1,23 +1,23 @@
-"""Elementwise quadratic bubbles and the closed-form reconstruction that turns
-a Crouzeix-Raviart solve with projected data into the RT0 mixed solution.
+"""Elementwise quadratic bubbles, the enriched Crouzeix-Raviart solve and the
+closed-form reconstruction that turns its solution into the RT0 mixed one.
 
 On a tet with barycentre x_T and vertex spread L = sum_i |x_i - x_T|^2 the
 bubble is phi_T(x) = L - 12 |x - x_T|^2.  Its face means vanish, its mean is
 2L/5 and the mean of |grad phi_T|^2 is 144L/5; consequently the bubble block
 of the enriched CR problem decouples, each bubble coefficient is
-gamma_T = (mean of f over T) / 72, and the mixed solution is recovered
-elementwise from the CR one:
+gamma_T = f_T / 72 with f_T the mean of f over T, and the mixed solution is
+the gradient and the mean of the enriched one, elementwise:
 
-    sigma|_T = grad u_CR - (1/3) f_T (x - x_T)
-    u|_T     = mean(u_CR) + (1/180) f_T L
+    sigma|_T = grad u_CR + gamma_T grad phi_T = grad u_CR - 24 gamma_T (x - x_T)
+    u|_T     = mean(u_CR) + gamma_T mean(phi_T) = mean(u_CR) + (2/5) gamma_T L
 """
 
 import numpy as np
 
-from .geometry import element_volumes
+from .elements import p0_project
 from .mesh import face_traces
-from .quadrature import mean, tet_rule_degree2, tet_rule_degree5
-from .system import Field, assemble_cr, solve_spd, _element_loads
+from .quadrature import mean, tet_rule_degree2
+from .system import Field, assemble_cr, solve_spd
 
 _RULE2 = tet_rule_degree2()
 
@@ -62,30 +62,29 @@ def bubble_identities(vertices):
                 lambda p: (bubble_grad(vertices, p) ** 2).sum(axis=-1))))
 
 
-def enriched_cr_solve(mesh, f, tol=1e-10):
-    """Solve the CR problem with projected data and split off the bubbles.
+def enriched_cr_solve(mesh, f, tol=1e-10, bubble_stiffness=72.0):
+    """Solve the CR problem enriched by one bubble per tet, with projected data.
 
-    The CR block and the bubble block of the enriched space are orthogonal in
-    the broken H1 product, so the CR part solves the plain system with
-    right-hand side (P0 f, theta_i) and the bubble coefficients come per
-    element as gamma_T = (mean of f) / 72.  Returns (cr field, gamma array).
+    f is sampled once, for its cell means f_T.  The CR block and the bubble
+    block are orthogonal in the broken H1 product, so the CR part solves the
+    plain system with cell-mean data and each bubble coefficient is
+    gamma_T = f_T / 72, the bubble's load over its stiffness.
+    ``bubble_stiffness`` replaces the 72 and exists as a fault-injection hook
+    for the verification suite.  Returns (cr field, gamma array).
     """
-    system = assemble_cr(mesh, f, rhs_mode="projected-f")
-    cr = solve_spd(system, tol=tol)
-    _, f_int = _element_loads(mesh, f, tet_rule_degree5())
-    gamma = f_int / element_volumes(mesh) / 72.0
-    return cr, gamma
+    fbar = p0_project(mesh.tet_vertices(), f)
+    cr = solve_spd(assemble_cr(mesh, fbar), tol=tol)
+    return cr, fbar / bubble_stiffness
 
 
-def marini_reconstruct(mesh, cr_field, f, bubble_stiffness=72.0):
-    """Rebuild the RT0 mixed solution from a CR solve with projected data.
+def marini_reconstruct(mesh, cr_field, gamma):
+    """Rebuild the RT0 mixed solution from the enriched CR solution: the CR
+    field and the bubble coefficients gamma (nt,) of ``enriched_cr_solve``.
 
     Returns (rt0 field, max_flux_mismatch).  The flux coefficient of every
     face is the face mean of sigma . n_F; the mismatch is the largest
     disagreement between the values computed from the two incident tets and
     certifies (when small) that the reconstruction is H(div)-conforming.
-    ``bubble_stiffness`` rescales the elementwise correction and exists as a
-    fault-injection hook for the verification suite; 72 is the correct value.
 
     Raises ValueError when the field does not live on ``mesh`` or is not a
     CR field.
@@ -93,20 +92,12 @@ def marini_reconstruct(mesh, cr_field, f, bubble_stiffness=72.0):
     if cr_field.space != "cr" or cr_field.mesh is not mesh:
         raise ValueError("marini_reconstruct needs a CR field on the same mesh")
     v = mesh.tet_vertices()
-    vols = element_volumes(mesh)
-    _, f_int = _element_loads(mesh, f, tet_rule_degree5())
-    fbar = f_int / vols
-
-    centres = v.mean(axis=1)
     # sigma = grad u_CR + slope (x - x_T) is affine; the two candidates of an
     # interior face disagree by the conformity defect
-    slope = -24.0 * fbar / bubble_stiffness                   # = -fbar/3 at 72
+    slope = -24.0 * gamma
     flux, mismatch = face_traces(
-        mesh, slope, slope[:, None] * centres - cr_field.element_gradients())
-
-    spread = bubble_spread(v)
-    cell_mean = cr_field.element_coeffs().sum(axis=1) / 4.0
-    cell = cell_mean + fbar * spread * 2.0 / (5.0 * bubble_stiffness)  # = /180 at 72
+        mesh, slope, slope[:, None] * v.mean(axis=1) - cr_field.element_gradients())
+    cell = cr_field.element_coeffs().sum(axis=1) / 4.0 + 0.4 * gamma * bubble_spread(v)
     rt = Field("rt0", mesh, flux, cell_coeffs=cell,
                solve_info=dict(cr_field.solve_info))
     return rt, mismatch

@@ -78,30 +78,38 @@ def simplex_measure(vertices):
                      f"got {vertices.shape}")
 
 
-def mean(rule, vertices, f):
-    """Mean value of ``f`` over each simplex, called as ``integrate``: the
-    weighted sum of its values, since the rule's weights sum to 1."""
+def sample(rule, vertices, f):
+    """``f`` at the rule's points on every simplex of a stack ``vertices``
+    (..., k, 3): the stack shape, then one entry per point, then the value
+    shape.
+
+    ``f(x, y, z)`` receives flat 1-D coordinate arrays: the rule's points on
+    the first simplex, then on the next, in C order over the stack.  Its
+    values may be scalar or vector-valued, with the points along their first
+    axis.
+    """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.shape[-2:] != (rule.points.shape[1], 3):
         raise ValueError(f"rule with {rule.points.shape[1]} barycentric coordinates "
                          f"does not fit vertices of shape {vertices.shape}")
-    stack = vertices.shape[:-2]
     if np.any(simplex_measure(vertices) <= 1e-300):
         raise ValueError("degenerate simplex")
     x = (rule.points @ vertices).reshape(-1, 3)
     values = np.asarray(f(x[:, 0], x[:, 1], x[:, 2]), dtype=float)
-    values = values.reshape(stack + rule.weights.shape + values.shape[1:])
-    return np.tensordot(values, rule.weights, (len(stack), 0))[()]
+    return values.reshape(vertices.shape[:-2] + rule.weights.shape + values.shape[1:])
+
+
+def mean(rule, vertices, f):
+    """Mean value of ``f`` over each simplex, called as ``sample``: the
+    weighted sum of its samples, since the rule's weights sum to 1."""
+    values = sample(rule, vertices, f)
+    return np.tensordot(values, rule.weights, (np.ndim(vertices) - 2, 0))[()]
 
 
 def integrate(rule, vertices, f):
-    """Integral of ``f`` over each simplex of a stack ``vertices`` (..., k, 3).
-
-    The result has the stack shape followed by the value shape.  ``f(x, y, z)``
-    still receives flat 1-D coordinate arrays: the rule's points on the first
-    simplex, then on the next, in C order over the stack.  Its values may be
-    scalar or vector-valued, with the points along their first axis.
-    """
+    """Integral of ``f`` over each simplex of a stack ``vertices`` (..., k, 3),
+    called as ``sample``; the result has the stack shape followed by the value
+    shape."""
     means = mean(rule, vertices, f)
     measure = simplex_measure(vertices)
     return np.expand_dims(measure, tuple(range(measure.ndim, means.ndim))) * means

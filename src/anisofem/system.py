@@ -8,10 +8,13 @@ unit diagonal is left in place, which keeps the P1/CR matrices symmetric
 positive definite.  The mixed system is the symmetric indefinite block matrix
 [[A, B^T], [B, 0]] over flux and cell unknowns; flux DOFs follow the fixed
 face normals of the mesh face table, so normal continuity holds by
-construction.  ``converge`` gets its RT0 rows from the CR solve with projected
-data and the closed-form reconstruction of ``equivalence``; the mixed system
-and its MINRES solve are the independent oracle that ``verify`` checks the
-reconstruction against.
+construction.
+
+The P1/CR assemblers take the data f as a callable, integrated against each
+basis function by the degree-5 rule, or as an array of its cell means, which
+is the load of the projected problem.  ``converge`` gets its RT0 rows from the
+enriched CR solution of ``equivalence``; the mixed system and its MINRES solve
+are the independent oracle that ``verify`` checks that reconstruction against.
 """
 
 from dataclasses import dataclass, field
@@ -22,9 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .geometry import (barycentric_gradients, element_volumes,
                        local_face_geometry, rt0_affine, rt0_scales)
-from .quadrature import tet_rule_degree2, tet_rule_degree5
-
-RHS_MODES = ("exact-f", "projected-f")
+from .quadrature import mean, sample, tet_rule_degree2, tet_rule_degree5
 
 
 class SolverError(RuntimeError):
@@ -103,23 +104,6 @@ class Field:
         return rt0_affine(v, self.coeffs[faces.tet_faces] * faces.tet_face_signs)
 
 
-def sample_elements(mesh, fn, rule):
-    """``fn(x, y, z)`` at the points of ``rule`` on every element, (nt, nq, ...)."""
-    x = np.einsum("qi,tid->tqd", rule.points, mesh.tet_vertices())
-    return np.asarray(fn(x[..., 0], x[..., 1], x[..., 2]), dtype=float)
-
-
-def _element_loads(mesh, f, rule):
-    """Integrals of f times the barycentric coordinates, (nt, 4), plus
-    the plain element integrals of f, (nt,)."""
-    vols = element_volumes(mesh)
-    fv = sample_elements(mesh, f, rule)
-    lam_loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights,
-                                          rule.points, fv)
-    f_int = vols * np.einsum("q,tq->t", rule.weights, fv)
-    return lam_loads, f_int
-
-
 def _scatter_square(local, dofs, ndof):
     rows = np.repeat(dofs, 4, axis=1).ravel()
     cols = np.tile(dofs, (1, 4)).ravel()
@@ -137,14 +121,16 @@ def _apply_constraints(matrix, rhs, constrained):
     return matrix.tocsr(), rhs
 
 
-def _assemble_primal(kind, mesh, f, rhs_mode, constrain):
+def _assemble_primal(kind, mesh, f, constrain):
     """P1 (vertex DOFs) or CR (face DOFs) system.
 
     The CR basis theta_i = 1 - 3 lambda_i has -3 times the barycentric
-    gradients and the exact load int f - 3 int f lambda_i.
+    gradients.  Every basis function has element integral |T|/4, so cell
+    means f_T give the load |T| f_T / 4 per DOF.
     """
-    if rhs_mode not in RHS_MODES:
-        raise ValueError(f"rhs_mode must be one of {RHS_MODES}, got {rhs_mode!r}")
+    if not callable(f) and np.shape(f) != (mesh.n_tets,):
+        raise ValueError(f"cell means of f need shape ({mesh.n_tets},), "
+                         f"got {np.shape(f)}")
     faces = mesh.faces
     grads = barycentric_gradients(mesh)
     if kind == "p1":
@@ -159,37 +145,38 @@ def _assemble_primal(kind, mesh, f, rhs_mode, constrain):
     local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
     matrix = _scatter_square(local, dofs, ndof)
 
-    lam_loads, f_int = _element_loads(mesh, f, tet_rule_degree5())
-    if rhs_mode == "projected-f":
-        loads = np.repeat((f_int / 4.0)[:, None], 4, axis=1)
-    elif kind == "p1":
-        loads = lam_loads
+    if callable(f):
+        rule = tet_rule_degree5()
+        basis = rule.points if kind == "p1" else 1.0 - 3.0 * rule.points
+        loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights, basis,
+                                          sample(rule, mesh.tet_vertices(), f))
     else:
-        loads = f_int[:, None] - 3.0 * lam_loads
+        loads = np.repeat((vols * np.asarray(f, dtype=float) / 4.0)[:, None], 4, axis=1)
     rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=ndof)
     if constrain:
         matrix, rhs = _apply_constraints(matrix, rhs, constrained)
     return SparseSystem(matrix, rhs, kind, mesh, constrained)
 
 
-def assemble_p1(mesh, f, rhs_mode="exact-f", constrain=True):
+def assemble_p1(mesh, f, constrain=True):
     """P1-Lagrange stiffness system for -Laplace u = f, u = 0 on the boundary.
 
-    The stiffness integrands are constant, hence exact.  With
-    rhs_mode='exact-f' the load is the degree-5 quadrature of f phi_i; with
-    'projected-f' it is the elementwise mean of f times int phi_i = |T|/4.
+    The stiffness integrands are constant, hence exact.  A callable f gives
+    the load as the degree-5 quadrature of f phi_i; an (nt,) array of cell
+    means f_T gives f_T times int phi_i = |T|/4.
     """
-    return _assemble_primal("p1", mesh, f, rhs_mode, constrain)
+    return _assemble_primal("p1", mesh, f, constrain)
 
 
-def assemble_cr(mesh, f, rhs_mode="exact-f", constrain=True):
+def assemble_cr(mesh, f, constrain=True):
     """Crouzeix-Raviart system: one DOF per face, boundary faces constrained.
 
     theta_i has the same element integral |T|/4 as the barycentric
     coordinates, and int_F theta_i = |F| delta_iF, so constraining boundary
-    faces to zero enforces vanishing boundary face means.
+    faces to zero enforces vanishing boundary face means.  f is a callable
+    or an (nt,) array of cell means, as in ``assemble_p1``.
     """
-    return _assemble_primal("cr", mesh, f, rhs_mode, constrain)
+    return _assemble_primal("cr", mesh, f, constrain)
 
 
 def rt0_mass_matrix(mesh):
@@ -229,7 +216,7 @@ def assemble_rt0_mixed(mesh, f):
         shape=(nt, nf),
     ).tocsr()
 
-    _, f_int = _element_loads(mesh, f, tet_rule_degree5())
+    f_int = element_volumes(mesh) * mean(tet_rule_degree5(), mesh.tet_vertices(), f)
     matrix = sp.bmat([[a_block, b_block.T], [b_block, None]], format="csr")
     rhs = np.concatenate([np.zeros(nf), -f_int])
     constrained = np.zeros(nf + nt, dtype=bool)

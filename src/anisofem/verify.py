@@ -68,33 +68,32 @@ def equivalence_checks(flip_rt_signs, bubble_stiffness):
     """Reconstructed against directly solved mixed problem on the 2:2 and 4:8
     meshes, with f-bar computed apart from the reconstruction; yields 5 rows."""
     case = analysis.cube_polynomial_case()
-    rule = quadrature.tet_rule_degree5()
-    dev_sig = dev_u = dev_div = dev_jump = dev_trace = 0.0
+    devs = []
     for m, n in [(2, 2), (4, 8)]:
         msh = meshgen.generate_aniso_cube(m, n)
-        cr, _ = equivalence.enriched_cr_solve(msh, case.f, tol=1e-12)
-        rt, jump = equivalence.marini_reconstruct(
-            msh, cr, case.f, bubble_stiffness=bubble_stiffness)
+        cr, gamma = equivalence.enriched_cr_solve(
+            msh, case.f, tol=1e-12, bubble_stiffness=bubble_stiffness)
+        rt, jump = equivalence.marini_reconstruct(msh, cr, gamma)
         direct = system.solve_saddle(
             system.assemble_rt0_mixed(msh, case.f), tol=1e-12)
         mass = system.rt0_mass_matrix(msh)
         vols = geometry.element_volumes(msh)
         dsig = rt.coeffs - direct.coeffs
-        dev_sig = max(dev_sig, math.sqrt((dsig @ mass @ dsig)
-                                         / (direct.coeffs @ mass @ direct.coeffs)))
         du = rt.cell_coeffs - direct.cell_coeffs
-        dev_u = max(dev_u, math.sqrt(float(vols @ du ** 2)
-                                     / float(vols @ direct.cell_coeffs ** 2)))
-        fbar = system.sample_elements(msh, case.f, rule) @ rule.weights
-        dev_div = max(dev_div, float(np.abs(rt.flux_divergence() + fbar).max()))
-        dev_jump = max(dev_jump, jump)
-        dev_trace = max(dev_trace, _flux_jump_deviation(
-            msh, direct, flip_rt_signs=flip_rt_signs))
-    yield "marini_sigma_equivalence", dev_sig, 1e-7
-    yield "marini_u_equivalence", dev_u, 1e-7
-    yield "reconstruction_divergence", dev_div, 1e-11
-    yield "reconstruction_normal_jumps", dev_jump, 1e-9
-    yield "flux_normal_jumps", dev_trace, 1e-9
+        fbar = elements.p0_project(msh.tet_vertices(), case.f)
+        devs.append([
+            math.sqrt((dsig @ mass @ dsig) / (direct.coeffs @ mass @ direct.coeffs)),
+            math.sqrt(float(vols @ du ** 2) / float(vols @ direct.cell_coeffs ** 2)),
+            float(np.abs(rt.flux_divergence() + fbar).max()),
+            jump,
+            _flux_jump_deviation(msh, direct, flip_rt_signs=flip_rt_signs)])
+    # np.max, unlike the builtin max, carries a NaN through to a FAIL row
+    worst = np.max(devs, axis=0)
+    for name, dev, tol in zip(
+            ["marini_sigma_equivalence", "marini_u_equivalence",
+             "reconstruction_divergence", "reconstruction_normal_jumps",
+             "flux_normal_jumps"], worst, [1e-7, 1e-7, 1e-11, 1e-9, 1e-9]):
+        yield name, float(dev), tol
 
 
 def _exactness_deviation(rule, simplices):
@@ -174,7 +173,7 @@ def _duality_deviation(mesh, rng, samples=50, flip_rt_signs=False):
     centres = v4.mean(axis=1)
     signs = np.abs(faces.tet_face_signs) if flip_rt_signs else faces.tet_face_signs
 
-    worst = 0.0
+    totals = []
     for _ in range(samples):
         flux = rng.uniform(-1.0, 1.0, faces.n_faces)
         psi = rng.uniform(-1.0, 1.0, faces.n_faces)
@@ -185,7 +184,6 @@ def _duality_deviation(mesh, rng, samples=50, flip_rt_signs=False):
         div = 3.0 * a
         grad_psi = np.einsum("ti,tid->td", psi[faces.tet_faces], grads)
         psi_mid = psi[faces.tet_faces].sum(axis=1) / 4.0
-        total = float(vols @ (np.einsum("td,td->t", v_mid, grad_psi)
+        totals.append(vols @ (np.einsum("td,td->t", v_mid, grad_psi)
                               + div * psi_mid))
-        worst = max(worst, abs(total))
-    return worst
+    return float(np.max(np.abs(totals)))

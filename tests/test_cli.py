@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -10,6 +11,7 @@ from anisofem import analysis, cli
 from anisofem.cli import (ConfigError, DEFAULT_PAIRS, main, select_pairs)
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, argv):
@@ -28,6 +30,8 @@ def test_select_pairs_defaults():
         select_pairs(1.7)
     with pytest.raises(ConfigError):
         select_pairs(1.5, pairs_text="2x2")
+    with pytest.raises(ConfigError):
+        select_pairs(1.5, pairs_text="")
 
 
 def test_converge_cr_small(capsys):
@@ -122,16 +126,52 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
             ["--pairs", "3:3", "--out", str(existing)],
             ["--pairs", "2:2", "--gamma", "inf", "--out", str(existing)],
             ["--pairs", "2:2", "--out", str(missing / "x.csv")],
-            ["--pairs", "2:2", "--vtk", str(missing / "stem")])] + [
+            ["--pairs", "2:2", "--vtk", str(missing / "stem")],
+            ["--pairs", ""], ["--pairs", "", "--out", str(existing)])] + [
             ["interp-demo", "--gamma", "nan"],
+            ["interp-demo", "--n-values", ""],
             ["interp-demo", "--n-values", "-3", "--out", str(existing)],
             ["interp-demo", "--gamma", "nan", "--out", str(existing)],
-            ["verify", "--out", str(missing / "v.csv")]]:
+            ["verify", "--out", str(missing / "v.csv")],
+            ["verify", "--bubble-stiffness", "nan"],
+            ["verify", "--bubble-stiffness", "inf"],
+            ["verify", "--bubble-stiffness", "0", "--out", str(existing)]]:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == "", argv
         assert err.startswith("error:"), argv
         assert existing.read_text() == "kept\n", argv
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("converge_p1_exact-f.csv", ["--element", "p1"]),
+    ("converge_p1_projected-f.csv", ["--element", "p1", "--rhs", "projected-f"]),
+    ("converge_cr_projected-f.csv", ["--element", "cr", "--rhs", "projected-f"]),
+])
+def test_converge_matches_reference_bytes(capsys, name, argv):
+    code, out, _ = run(capsys, ["converge", *argv, "--pairs", "2:2,4:8"])
+    assert code == 0
+    assert out.encode() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--element", "rt"], ["--element", "p1"], ["--element", "cr"],
+    ["--element", "p1", "--rhs", "projected-f"],
+    ["--element", "cr", "--rhs", "projected-f"],
+])
+def test_converge_samples_f_once_per_row(capsys, monkeypatch, argv):
+    case = af.cube_polynomial_case()
+    calls = []
+
+    def counted_f(x, y, z):
+        calls.append(len(x))
+        return case.f(x, y, z)
+
+    monkeypatch.setattr(analysis, "cube_polynomial_case",
+                        lambda: dataclasses.replace(case, f=counted_f))
+    code, out, _ = run(capsys, ["converge", *argv, "--pairs", "2:2,2:3"])
+    assert code == 0 and len(out.splitlines()) == 3
+    assert len(calls) == 2, calls
 
 
 def test_numerical_value_error_exits_1(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 import anisofem as af
 from anisofem.mesh import LOCAL_FACES, Mesh
+from anisofem.verify import equivalence_checks
 
 from conftest import CASE, random_tet
 
@@ -95,9 +96,8 @@ def test_cr_bubble_orthogonality():
 
 def test_marini_zero_data():
     mesh = af.generate_aniso_cube(2, 2)
-    cr, _ = af.enriched_cr_solve(mesh, lambda x, y, z: np.zeros_like(x))
-    rt, mismatch = af.marini_reconstruct(mesh, cr,
-                                         lambda x, y, z: np.zeros_like(x))
+    cr, gamma = af.enriched_cr_solve(mesh, lambda x, y, z: np.zeros_like(x))
+    rt, mismatch = af.marini_reconstruct(mesh, cr, gamma)
     assert np.abs(rt.coeffs).max() == 0.0
     assert np.abs(rt.cell_coeffs).max() == 0.0
     assert mismatch == 0.0
@@ -108,8 +108,7 @@ def test_marini_constant_source_single_tet():
     mesh = Mesh(verts, np.array([[0, 1, 2, 3]]))
     c = 6.0
     zero_cr = af.Field("cr", mesh, np.zeros(4))
-    rt, _ = af.marini_reconstruct(mesh, zero_cr,
-                                  lambda x, y, z: np.full_like(x, c))
+    rt, _ = af.marini_reconstruct(mesh, zero_cr, np.full(1, c / 72.0))
     # sigma = -(c/3)(x - x_T): divergence is -c, matching -P0(f)
     assert abs(rt.flux_divergence()[0] + c) < 1e-11
     bary = np.random.default_rng(46).dirichlet(np.ones(4), 6)
@@ -123,19 +122,19 @@ def test_marini_constant_source_single_tet():
 def test_marini_requires_matching_field():
     mesh = af.generate_aniso_cube(2, 2)
     other = af.generate_aniso_cube(2, 2)
-    cr, _ = af.enriched_cr_solve(mesh, CASE.f)
+    cr, gamma = af.enriched_cr_solve(mesh, CASE.f)
     with pytest.raises(ValueError):
-        af.marini_reconstruct(other, cr, CASE.f)
+        af.marini_reconstruct(other, cr, gamma)
     p1 = af.Field("p1", mesh, np.zeros(mesh.n_vertices))
     with pytest.raises(ValueError):
-        af.marini_reconstruct(mesh, p1, CASE.f)
+        af.marini_reconstruct(mesh, p1, gamma)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (4, 8)])
 def test_marini_equivalence_with_direct_solve(m, n):
     mesh = af.generate_aniso_cube(m, n)
-    cr, _ = af.enriched_cr_solve(mesh, CASE.f, tol=1e-12)
-    rt, mismatch = af.marini_reconstruct(mesh, cr, CASE.f)
+    cr, gamma = af.enriched_cr_solve(mesh, CASE.f, tol=1e-12)
+    rt, mismatch = af.marini_reconstruct(mesh, cr, gamma)
     direct = af.solve_saddle(af.assemble_rt0_mixed(mesh, CASE.f), tol=1e-12)
 
     mass = af.rt0_mass_matrix(mesh)
@@ -159,11 +158,23 @@ def test_marini_equivalence_with_direct_solve(m, n):
 
 def test_wrong_bubble_constant_breaks_equivalence():
     mesh = af.generate_aniso_cube(2, 2)
-    cr, _ = af.enriched_cr_solve(mesh, CASE.f, tol=1e-12)
-    rt_bad, _ = af.marini_reconstruct(mesh, cr, CASE.f, bubble_stiffness=70.0)
+    cr, gamma = af.enriched_cr_solve(mesh, CASE.f, tol=1e-12,
+                                     bubble_stiffness=70.0)
+    rt_bad, _ = af.marini_reconstruct(mesh, cr, gamma)
     direct = af.solve_saddle(af.assemble_rt0_mixed(mesh, CASE.f), tol=1e-12)
     mass = af.rt0_mass_matrix(mesh)
     dsig = rt_bad.coeffs - direct.coeffs
     rel = math.sqrt((dsig @ mass @ dsig)
                     / (direct.coeffs @ mass @ direct.coeffs))
     assert rel > 1e-4
+
+
+def test_nan_bubble_stiffness_fails_reconstruction_rows():
+    rows = {name: (dev, tol) for name, dev, tol
+            in equivalence_checks(False, float("nan"))}
+    for name in ("marini_sigma_equivalence", "marini_u_equivalence",
+                 "reconstruction_divergence", "reconstruction_normal_jumps"):
+        dev, tol = rows[name]
+        assert not dev <= tol, name
+    dev, tol = rows["flux_normal_jumps"]  # the direct solve is untouched
+    assert dev <= tol

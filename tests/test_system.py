@@ -54,10 +54,16 @@ def test_assembled_matrices_exactly_symmetric():
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
-def test_rhs_mode_validation():
+def test_cell_mean_data():
+    # a constant f integrates to the same load as its cell means, and cell
+    # means of the wrong shape are rejected
     mesh = af.generate_aniso_cube(2, 2)
-    with pytest.raises(ValueError, match="rhs_mode"):
-        af.assemble_cr(mesh, CASE.f, rhs_mode="bogus")
+    for assemble in (af.assemble_p1, af.assemble_cr):
+        exact = assemble(mesh, lambda x, y, z: np.full_like(x, 3.0))
+        means = assemble(mesh, np.full(mesh.n_tets, 3.0))
+        np.testing.assert_allclose(means.rhs, exact.rhs, rtol=1e-13, atol=1e-16)
+        with pytest.raises(ValueError, match="cell means"):
+            assemble(mesh, np.ones(mesh.n_tets + 1))
 
 
 def test_cr_solution_matches_published_error():
