@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import anisofem as af
 from anisofem.mesh import Mesh, face_traces
@@ -96,10 +96,7 @@ def test_face_table_properties_under_relabelling(m, n, seed, b):
         np.testing.assert_allclose(new.rhs[dof_map], old.rhs, rtol=1e-13, atol=0.0)
 
 
-@settings(derandomize=True, database=None, deadline=None)
-@given(m=st.sampled_from([2, 4, 6]), n=st.integers(1, 5))
-@example(m=4, n=8)  # a published study row
-def test_volume_partition_and_orientation(m, n):
+def check_volume_counts_and_orientation(m, n):
     mesh = af.generate_aniso_cube(m, n)
     vols = af.element_volumes(mesh)
     assert abs(vols.sum() - 1.0) < 1e-12
@@ -108,6 +105,17 @@ def test_volume_partition_and_orientation(m, n):
     assert mesh.faces.n_faces == 10 * m * m * n + 2 * m * m + 4 * m * n
     report = af.validate_conformity(mesh)
     assert report.ok and report.orientation_ok
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (4, 8), (6, 5)])
+def test_volume_partition_and_orientation(m, n):
+    check_volume_counts_and_orientation(m, n)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(m=st.sampled_from([2, 4, 6]), n=st.integers(1, 5))
+def test_volume_partition_over_divisions(m, n):
+    check_volume_counts_and_orientation(m, n)
 
 
 def test_incidence_identity():
