@@ -7,9 +7,8 @@ bubble-based equivalence between the enriched CR and RT0 mixed solutions.
 from .analysis import (ManufacturedCase, broken_h1_error, convergence_indicator,
                        cube_polynomial_case, discrete_poincare_ratio, l2_error,
                        normalization_delta_u, sliver_interp_row, sliver_tet)
-from .elements import (BarycentricMap, CRBasis, RT0Basis, cr_interpolate,
-                       cr_interpolate_pointwise, local_commuting_check,
-                       p0_project, rt_interpolate)
+from .elements import (BarycentricMap, cr_interpolate, cr_interpolate_pointwise,
+                       local_commuting_check, p0_project, rt_interpolate)
 from .equivalence import (bubble_eval, bubble_grad, bubble_identities,
                           bubble_spread, enriched_cr_solve, marini_reconstruct)
 from .geometry import (TetGeometry, element_volumes, global_metrics,

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (barycentric_gradients, element_volumes,
-                       local_face_geometry, tet_geometry)
+from .elements import cr_gradients, cr_interpolate_pointwise
+from .geometry import barycentric_gradients, element_volumes, tet_geometry
 from .mesh import Mesh
 from .quadrature import (mean, sample, tet_rule_degree2, tet_rule_degree5,
                          tri_rule_midpoint3)
@@ -80,13 +80,13 @@ def l2_error(mesh, field, u_exact, rule=None):
     For rt0 fields the piecewise-constant cell part is compared.
     """
     rule = rule or _RULE5
-    exact = sample(rule, mesh.tet_vertices(), u_exact)
+    exact, vols = sample(rule, mesh.tet_vertices(), u_exact)
     if field.space == "rt0":
         values = field.cell_coeffs[:, None]
     else:
         values = field.element_values(rule.points)
     per_element = np.einsum("q,tq->t", rule.weights, (exact - values) ** 2)
-    return math.sqrt(float(element_volumes(mesh) @ per_element))
+    return math.sqrt(float(vols @ per_element))
 
 
 def broken_h1_error(mesh, field, grad_exact, rule=None):
@@ -95,13 +95,13 @@ def broken_h1_error(mesh, field, grad_exact, rule=None):
     For rt0 fields the flux sigma plays the role of the discrete gradient.
     """
     rule = rule or _RULE5
-    exact = sample(rule, mesh.tet_vertices(), grad_exact)
+    exact, vols = sample(rule, mesh.tet_vertices(), grad_exact)
     if field.space == "rt0":
         diff = exact - field.flux_values(rule.points)
     else:
         diff = exact - field.element_gradients()[:, None, :]
     per_element = np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
-    return math.sqrt(float(element_volumes(mesh) @ per_element))
+    return math.sqrt(float(vols @ per_element))
 
 
 def field_l2_norm(mesh, field):
@@ -169,13 +169,10 @@ def sliver_interp_row(n, gamma=1.5):
     """
     verts = sliver_tet(n, gamma)
     mesh = Mesh(verts.copy(), np.array([[0, 1, 2, 3]]))
-    geo = tet_geometry(mesh, 0)
-
-    _, _, centres = local_face_geometry(mesh)
-    coeffs = (centres[0] ** 2).sum(axis=1)
-    grad_interp = coeffs @ (-3.0 * barycentric_gradients(mesh)[0])
+    aniso = tet_geometry(mesh, 0).aniso_opposite
+    coeffs = cr_interpolate_pointwise(verts, lambda x, y, z: x ** 2 + y ** 2 + z ** 2)
+    grad_interp = coeffs @ cr_gradients(barycentric_gradients(mesh)[0])
 
     grad_err_sq = ((2.0 * verts - grad_interp) ** 2).sum(axis=1).mean()
     hess_sq = 12.0  # phi has pure second derivatives (2, 2, 2)
-    err = math.sqrt(grad_err_sq / hess_sq)
-    return 1.0 / n, geo.aniso_opposite, err
+    return 1.0 / n, aniso, math.sqrt(grad_err_sq / hess_sq)

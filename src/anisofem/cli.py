@@ -2,8 +2,8 @@
 studies, the flat-tet interpolation demo and the identity suite.
 
 Exit codes: 0 success, 1 numerical failure (solver breakdown, a ValueError
-raised from numerics or a failed identity), 2 configuration error, rejected
-before any output.
+raised from numerics, a non-finite value in a row or a failed identity), 2
+configuration error, rejected before any output.
 """
 
 import argparse
@@ -47,6 +47,8 @@ def _parse_pairs(text):
 
 
 def _fmt(x):
+    if x is not None and not math.isfinite(x):  # raised before its row is written
+        raise ValueError(f"non-finite value {x!r} in the output")
     return "" if x is None else f"{x:.6e}"
 
 
@@ -77,13 +79,17 @@ def cmd_converge(args):
         raise ConfigError(f"--tol must be finite and positive, got {args.tol!r}")
     if args.vtk and not os.path.isdir(os.path.dirname(args.vtk) or "."):
         raise ConfigError(f"--vtk directory of {args.vtk!r} does not exist")
+    try:  # H_nominal of every row, before the header
+        h_nominal = [(1.0 / m) ** (2.0 - args.gamma) for m, _ in pairs]
+    except OverflowError:
+        raise ConfigError(f"--gamma {args.gamma!r} overflows (1/M)^(2-gamma)") from None
     case = analysis.cube_polynomial_case()
     assemble = system.assemble_p1 if args.element == "p1" else system.assemble_cr
     with _open_out(args) as out:
         out.write(CONVERGE_HEADER + "\n")
         out.flush()
         prev_h1 = prev_l2 = None
-        for m, n in pairs:
+        for (m, n), h_nom in zip(pairs, h_nominal):
             mesh = generate_aniso_cube(m, n)
             if args.vtk:
                 write_vtk(mesh, f"{args.vtk}.M{m}N{n}.vtk")
@@ -105,7 +111,6 @@ def cmd_converge(args):
             r_l2 = None if prev_l2 is None else math.log2(prev_l2 / err_l2)
             prev_h1, prev_l2 = err_h1, err_l2
 
-            h_nom = (1.0 / m) ** (2.0 - args.gamma)
             row = [str(m), str(n), _fmt(1.0 / m), _fmt(h_nom),
                    _fmt(metrics.aniso_max), str(dofs),
                    _fmt(err_h1), _fmt(r_h1), _fmt(err_l2), _fmt(r_l2)]

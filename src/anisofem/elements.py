@@ -1,14 +1,20 @@
 """Local shape functions and the four local interpolation operators: the
 piecewise-constant projection, the two Crouzeix-Raviart interpolants (face
 mean and face barycentre flavours) and the lowest-order Raviart-Thomas
-interpolant.
+interpolant, on one tet (4, 3) or a stack of tets (..., 4, 3).
+
+Each local element is written once.  The CR basis theta_i = 1 - 3 lambda_i is
+``cr_shape`` and its gradient ``cr_gradients``; the assembler, ``Field``, the
+sliver demo and the identity suite call them.  An RT0 field
+sum_i c_i psi_i with psi_i = |F_i|/(3|T|) (x - x_i) is the affine
+sigma = a x - b of ``geometry.rt0_affine``; there is no per-tet basis object.
 """
 
 import numpy as np
 
-from .geometry import (LOCAL_FACES, barycentric_coefficients, face_geometry,
-                       rt0_scales)
-from .quadrature import mean, simplex_measure, tet_rule_degree5, tri_rule_midpoint3
+from .geometry import (LOCAL_FACES, affine_field, barycentric_coefficients,
+                       face_geometry, rt0_affine, tet_volumes)
+from .quadrature import mean, tet_rule_degree5, tri_rule_midpoint3
 
 _TRI_RULE = tri_rule_midpoint3()
 _TET_RULE5 = tet_rule_degree5()
@@ -16,10 +22,11 @@ _TET_RULE5 = tet_rule_degree5()
 
 class BarycentricMap:
     """Affine map from points to barycentric coordinates of one tet (4, 3) or
-    of a stack of tets (..., 4, 3)."""
+    of a stack of tets (..., 4, 3); a degenerate tet raises ValueError."""
 
     def __init__(self, vertices):
         self.vertices = np.asarray(vertices, dtype=float)
+        tet_volumes(self.vertices)
         self._coef = barycentric_coefficients(self.vertices)
 
     def coords(self, points):
@@ -33,54 +40,16 @@ class BarycentricMap:
         return np.swapaxes(self._coef[..., :3, :], -1, -2)
 
 
-class CRBasis:
-    """Crouzeix-Raviart basis theta_i = 1 - 3 lambda_i on one tet.
-
-    theta_i is identically 1 on face i (the face opposite vertex i) and has
-    face mean delta_ij over face j.
-    """
-
-    def __init__(self, vertices):
-        self.map = BarycentricMap(vertices)
-
-    def values(self, points):
-        return 1.0 - 3.0 * self.map.coords(points)
-
-    @property
-    def gradients(self):
-        return -3.0 * self.map.gradients
+def cr_shape(bary):
+    """Crouzeix-Raviart basis theta_i = 1 - 3 lambda_i at barycentric
+    coordinates (..., 4).  theta_i is identically 1 on face i (the face
+    opposite vertex i) and has face mean delta_ij over face j."""
+    return 1.0 - 3.0 * np.asarray(bary)
 
 
-class RT0Basis:
-    """Lowest-order Raviart-Thomas basis psi_i = |F_i|/(3|T|) (x - x_i).
-
-    The normal-mean functionals chi_j(v) = (1/|F_j|) int_{F_j} v . n_j with
-    outward normals n_j satisfy chi_j(psi_i) = delta_ij, and div psi_i is the
-    constant |F_i|/|T|.  Built on one tet (4, 3) or a stack (..., 4, 3).
-    """
-
-    def __init__(self, vertices):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.volume = simplex_measure(self.vertices)
-        if np.any(self.volume <= 1e-300):
-            raise ValueError("degenerate tet: RT0 basis needs a positive volume")
-        self.face_areas, self.normals, _ = face_geometry(self.vertices)
-        self._scales = rt0_scales(self.face_areas, self.volume)
-
-    def values(self, points):
-        """(..., n, 4, 3) array of the four basis fields at each point."""
-        d = np.atleast_2d(points)[..., None, :] - self.vertices[..., None, :, :]
-        return d * self._scales[..., None, :, None]
-
-    @property
-    def divergences(self):
-        return 3.0 * self._scales
-
-    def dof(self, v):
-        """chi functionals of a vector field ``v(x, y, z) -> (n, 3)``: the
-        normal components of its face means."""
-        return np.einsum("...id,...id->...i", cr_interpolate(self.vertices, v),
-                         self.normals)
+def cr_gradients(bary_gradients):
+    """Gradients of the CR basis from the barycentric gradients (..., 4, 3)."""
+    return -3.0 * bary_gradients
 
 
 def p0_project(vertices, f):
@@ -106,18 +75,26 @@ def cr_interpolate_pointwise(vertices, f):
 
 
 def rt_interpolate(vertices, v):
-    """Raviart-Thomas coefficients: face-mean normal fluxes of ``v``."""
-    return RT0Basis(vertices).dof(v)
+    """Raviart-Thomas coefficients (..., 4): the face means of ``v`` (as in
+    ``cr_interpolate``) dotted with the outward face normals."""
+    vertices = np.asarray(vertices, dtype=float)
+    tet_volumes(vertices)  # outward normals need a tet with volume
+    return np.einsum("...id,...id->...i", cr_interpolate(vertices, v),
+                     face_geometry(vertices)[1])
 
 
 def cr_eval(vertices, coeffs, points):
-    """Evaluate a local CR function with the given face coefficients."""
-    return CRBasis(vertices).values(points) @ np.asarray(coeffs)
+    """Local CR functions with face coefficients (..., 4) at points
+    (..., n, 3), shape (..., n)."""
+    shape = cr_shape(BarycentricMap(vertices).coords(points))
+    return np.einsum("...ni,...i->...n", shape, np.asarray(coeffs))
 
 
 def rt_eval(vertices, coeffs, points):
-    """Evaluate a local RT0 field with the given flux coefficients, (n, 3)."""
-    return np.einsum("i,nid->nd", np.asarray(coeffs), RT0Basis(vertices).values(points))
+    """Local RT0 fields with flux coefficients (..., 4) at points (..., n, 3),
+    shape (..., n, 3)."""
+    a, b = rt0_affine(vertices, coeffs)
+    return affine_field(a, b, np.atleast_2d(points))
 
 
 def local_commuting_check(vertices, v, div_v):
@@ -126,8 +103,8 @@ def local_commuting_check(vertices, v, div_v):
 
     ``div_v`` supplies the divergence of ``v`` so the right side comes from an
     honest volume quadrature rather than from the flux integrals that define
-    the left side.  Exact agreement requires div v polynomial of degree <= 5.
+    the left side, the divergence 3a of the interpolant.  Exact agreement
+    requires div v polynomial of degree <= 5.
     """
     rhs = p0_project(vertices, div_v)
-    basis = RT0Basis(vertices)
-    return (basis.dof(v) * basis.divergences).sum(axis=-1), rhs
+    return 3.0 * rt0_affine(vertices, rt_interpolate(vertices, v))[0], rhs

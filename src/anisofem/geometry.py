@@ -83,6 +83,15 @@ def face_geometry(verts):
     return areas, normals, (a + b + c) / 3.0
 
 
+def tet_volumes(verts):
+    """|T| of each tet of a stack (..., 4, 3); a degenerate tet (volume at
+    most 1e-300) raises ValueError before anything divides by its volume."""
+    volumes = np.abs(signed_volumes(verts))
+    if np.any(volumes <= 1e-300):
+        raise ValueError("degenerate tet: zero volume")
+    return volumes
+
+
 def rt0_scales(areas, volumes):
     """|F_i| / (3|T|) from face areas (..., 4) and volumes (...): the RT0 basis
     is psi_i = scale_i (x - x_i)."""
@@ -92,12 +101,21 @@ def rt0_scales(areas, volumes):
 def rt0_affine(verts, coeffs):
     """Affine form sigma(x) = a x - b of the local RT0 fields sum_i coeffs_i psi_i.
 
-    ``coeffs`` (nt, 4) are the fluxes through the outward local faces.  With
-    c_i = coeffs_i |F_i| / (3|T|), a = sum_i c_i (so div sigma = 3a) and
-    b = sum_i c_i x_i; returns a (nt,) and b (nt, 3).
+    ``coeffs`` (..., 4) are the fluxes through the outward local faces of the
+    tets ``verts`` (..., 4, 3).  With c_i = coeffs_i |F_i| / (3|T|),
+    a = sum_i c_i (so div sigma = 3a) and b = sum_i c_i x_i; returns a (...)
+    and b (..., 3).  A degenerate tet raises ValueError.
     """
-    c = coeffs * rt0_scales(face_geometry(verts)[0], np.abs(signed_volumes(verts)))
-    return c.sum(axis=1), np.einsum("ti,tid->td", c, verts)
+    verts = np.asarray(verts, dtype=float)
+    volumes = tet_volumes(verts)
+    c = coeffs * rt0_scales(face_geometry(verts)[0], volumes)
+    return c.sum(axis=-1), np.einsum("...i,...id->...d", c, verts)
+
+
+def affine_field(a, b, points):
+    """sigma = a x - b at points (..., n, 3) for a (...) and b (..., 3), shape
+    (..., n, 3)."""
+    return a[..., None, None] * points - b[..., None, :]
 
 
 def element_volumes(mesh):
@@ -115,51 +133,38 @@ def local_face_geometry(mesh):
     return face_geometry(mesh.tet_vertices())
 
 
-def _edge_length_table(verts):
-    d = verts[..., EDGE_VERTICES[:, 0], :] - verts[..., EDGE_VERTICES[:, 1], :]
-    return np.linalg.norm(d, axis=-1)
+def _tet_metrics(verts):
+    """The one per-tet pass behind ``tet_geometry`` and ``global_metrics``,
+    over a stack (..., 4, 3): volumes, edge lengths, diameters, face areas,
+    vertex to opposite face distances and the (all-pairs, opposite-pairs)
+    anisotropy measures h^2/|T| * min of edge products.
 
-
-def _aniso_measures(lengths, diameters, volumes):
-    """(all-pairs, opposite-pairs) measures: h^2/|T| * min of edge products."""
+    Rejects degenerate tets before any division: flat-but-valid anisotropic
+    elements are the object of study, and clamping would hide generator bugs.
+    """
+    volumes = tet_volumes(verts)
+    lengths = np.linalg.norm(verts[..., EDGE_VERTICES[:, 0], :]
+                             - verts[..., EDGE_VERTICES[:, 1], :], axis=-1)
+    diameters = lengths.max(axis=-1)
+    areas = face_geometry(verts)[0]
     scale = diameters ** 2 / volumes
-    return tuple(
-        scale * np.min(np.stack([lengths[..., i] * lengths[..., j]
-                                 for i, j in pairs], axis=-1), axis=-1)
-        for pairs in (_ALL_EDGE_PAIRS, _OPPOSITE_EDGE_PAIRS))
+    aniso = [scale * np.min(np.stack([lengths[..., i] * lengths[..., j]
+                                      for i, j in pairs], axis=-1), axis=-1)
+             for pairs in (_ALL_EDGE_PAIRS, _OPPOSITE_EDGE_PAIRS)]
+    return (volumes, lengths, diameters, areas, 3.0 * volumes[..., None] / areas,
+            *aniso)
 
 
 def tet_geometry(mesh, tet_index):
-    """All geometric quantities of tet ``tet_index``.
-
-    Rejects degenerate tets (volume below 1e-300): flat-but-valid anisotropic
-    elements are the object of study, and clamping would hide generator bugs.
-    """
+    """All geometric quantities of tet ``tet_index``; a degenerate one raises."""
     verts = mesh.tet_vertices(tet_index)
-    volume = abs(float(signed_volumes(verts)))
-    if volume <= 1e-300:
-        raise ValueError(f"degenerate tet {tet_index}: volume {volume!r}")
-
-    lengths = _edge_length_table(verts)
-    diameter = float(lengths.max())
+    volume, lengths, diameter, areas, distances, aniso, aniso_opp = _tet_metrics(verts)
     barycentre = verts.mean(axis=0)
-    spread = float(((verts - barycentre) ** 2).sum())
-
-    areas = face_geometry(verts)[0]
-    distances = 3.0 * volume / areas
-
-    aniso, aniso_opp = _aniso_measures(lengths, diameter, volume)
     return TetGeometry(
-        volume=volume,
-        diameter=diameter,
-        edge_lengths=lengths,
-        barycentre=barycentre,
-        spread=spread,
-        face_distances=distances,
-        face_areas=areas,
-        aniso=float(aniso),
-        aniso_opposite=float(aniso_opp),
-    )
+        volume=float(volume), diameter=float(diameter), edge_lengths=lengths,
+        barycentre=barycentre, spread=float(((verts - barycentre) ** 2).sum()),
+        face_distances=distances, face_areas=areas, aniso=float(aniso),
+        aniso_opposite=float(aniso_opp))
 
 
 def global_metrics(mesh):
@@ -172,15 +177,9 @@ def global_metrics(mesh):
     """
     if mesh.n_tets == 0:
         raise ValueError("empty mesh")
-    verts = mesh.tet_vertices()
-    volumes = np.abs(signed_volumes(verts))
-    lengths = _edge_length_table(verts)
-    diameters = lengths.max(axis=1)
-    areas, _, _ = face_geometry(verts)
-    min_distance = (3.0 * volumes[:, None] / areas).min(axis=1)
-    aniso, _ = _aniso_measures(lengths, diameters, volumes)
+    _, _, diameters, _, distances, aniso, _ = _tet_metrics(mesh.tet_vertices())
     return MeshMetrics(
         h=float(diameters.max()),
         aniso_max=float(aniso.max()),
-        consistency_ratio=float((diameters ** 2 / min_distance).max()),
+        consistency_ratio=float((diameters ** 2 / distances.min(axis=1)).max()),
     )

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (LOCAL_FACES, face_geometry, local_face_geometry,
-                       signed_volumes)
+from .geometry import (LOCAL_FACES, affine_field, face_geometry,
+                       local_face_geometry, signed_volumes)
 
 # Box corners are indexed b = di + 2*dj + 4*dk.  Each row below is one tet of
 # the 5-tet split (central tet first); _SPLIT_ODD is the mirror image used on
@@ -193,8 +193,7 @@ def face_traces(mesh, a, b):
     the value seen from the first side of each face, shape (nf,), and the
     largest disagreement between the two sides of an interior face."""
     faces = mesh.faces
-    _, _, centroids = local_face_geometry(mesh)
-    sigma = a[:, None, None] * centroids - b[:, None, :]
+    sigma = affine_field(a, b, local_face_geometry(mesh)[2])
     trace = np.einsum("tid,tid->ti", sigma, faces.normals[faces.tet_faces]).ravel()
     inner = faces.sides[~faces.boundary]
     gaps = np.abs(trace[inner[:, 0]] - trace[inner[:, 1]])

@@ -81,7 +81,8 @@ def simplex_measure(vertices):
 def sample(rule, vertices, f):
     """``f`` at the rule's points on every simplex of a stack ``vertices``
     (..., k, 3): the stack shape, then one entry per point, then the value
-    shape.
+    shape; returned with the measure of each simplex (the stack shape), which
+    the degeneracy check computes anyway.
 
     ``f(x, y, z)`` receives flat 1-D coordinate arrays: the rule's points on
     the first simplex, then on the next, in C order over the stack.  Its
@@ -92,24 +93,26 @@ def sample(rule, vertices, f):
     if vertices.shape[-2:] != (rule.points.shape[1], 3):
         raise ValueError(f"rule with {rule.points.shape[1]} barycentric coordinates "
                          f"does not fit vertices of shape {vertices.shape}")
-    if np.any(simplex_measure(vertices) <= 1e-300):
+    measure = simplex_measure(vertices)
+    if np.any(measure <= 1e-300):
         raise ValueError("degenerate simplex")
     x = (rule.points @ vertices).reshape(-1, 3)
     values = np.asarray(f(x[:, 0], x[:, 1], x[:, 2]), dtype=float)
-    return values.reshape(vertices.shape[:-2] + rule.weights.shape + values.shape[1:])
+    return (values.reshape(vertices.shape[:-2] + rule.weights.shape + values.shape[1:]),
+            measure)
 
 
 def mean(rule, vertices, f):
     """Mean value of ``f`` over each simplex, called as ``sample``: the
     weighted sum of its samples, since the rule's weights sum to 1."""
-    values = sample(rule, vertices, f)
-    return np.tensordot(values, rule.weights, (np.ndim(vertices) - 2, 0))[()]
+    values, measure = sample(rule, vertices, f)
+    return np.tensordot(values, rule.weights, (measure.ndim, 0))[()]
 
 
 def integrate(rule, vertices, f):
     """Integral of ``f`` over each simplex of a stack ``vertices`` (..., k, 3),
     called as ``sample``; the result has the stack shape followed by the value
     shape."""
-    means = mean(rule, vertices, f)
-    measure = simplex_measure(vertices)
+    values, measure = sample(rule, vertices, f)
+    means = np.tensordot(values, rule.weights, (measure.ndim, 0))[()]
     return np.expand_dims(measure, tuple(range(measure.ndim, means.ndim))) * means

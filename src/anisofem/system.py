@@ -23,9 +23,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import (barycentric_gradients, element_volumes,
+from .elements import cr_gradients, cr_shape
+from .geometry import (affine_field, barycentric_gradients, element_volumes,
                        local_face_geometry, rt0_affine, rt0_scales)
-from .quadrature import mean, sample, tet_rule_degree2, tet_rule_degree5
+from .quadrature import integrate, sample, tet_rule_degree2, tet_rule_degree5
 
 
 class SolverError(RuntimeError):
@@ -75,23 +76,21 @@ class Field:
         """Constant per-element gradients, (nt, 3)."""
         grads = barycentric_gradients(self.mesh)
         if self.space == "cr":
-            grads = -3.0 * grads
+            grads = cr_gradients(grads)
         elif self.space != "p1":
             raise ValueError(f"no constant gradients for space {self.space!r}")
         return np.einsum("ti,tid->td", self.element_coeffs(), grads)
 
     def element_values(self, bary):
         """Values at barycentric points ``bary`` (nq, 4) on every element."""
-        shape = np.asarray(bary)
-        basis = shape if self.space == "p1" else 1.0 - 3.0 * shape
+        basis = np.asarray(bary) if self.space == "p1" else cr_shape(bary)
         return np.einsum("qi,ti->tq", basis, self.element_coeffs())
 
     def flux_values(self, bary):
         """RT0 vector values at barycentric points, (nt, nq, 3)."""
         v = self.mesh.tet_vertices()
         a, b = self._flux_affine(v)
-        x = np.einsum("qi,tid->tqd", np.asarray(bary), v)
-        return a[:, None, None] * x - b[:, None, :]
+        return affine_field(a, b, np.einsum("qi,tid->tqd", np.asarray(bary), v))
 
     def flux_divergence(self):
         """Constant per-element divergence of an rt0 field, (nt,)."""
@@ -124,9 +123,8 @@ def _apply_constraints(matrix, rhs, constrained):
 def _assemble_primal(kind, mesh, f, constrain):
     """P1 (vertex DOFs) or CR (face DOFs) system.
 
-    The CR basis theta_i = 1 - 3 lambda_i has -3 times the barycentric
-    gradients.  Every basis function has element integral |T|/4, so cell
-    means f_T give the load |T| f_T / 4 per DOF.
+    The CR basis is ``elements.cr_shape``.  Every basis function has element
+    integral |T|/4, so cell means f_T give the load |T| f_T / 4 per DOF.
     """
     if not callable(f) and np.shape(f) != (mesh.n_tets,):
         raise ValueError(f"cell means of f need shape ({mesh.n_tets},), "
@@ -140,16 +138,16 @@ def _assemble_primal(kind, mesh, f, constrain):
     else:
         dofs, ndof = faces.tet_faces, faces.n_faces
         constrained = faces.boundary.copy()
-        grads = -3.0 * grads
+        grads = cr_gradients(grads)
     vols = element_volumes(mesh)
     local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
     matrix = _scatter_square(local, dofs, ndof)
 
     if callable(f):
         rule = tet_rule_degree5()
-        basis = rule.points if kind == "p1" else 1.0 - 3.0 * rule.points
+        basis = rule.points if kind == "p1" else cr_shape(rule.points)
         loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights, basis,
-                                          sample(rule, mesh.tet_vertices(), f))
+                                          sample(rule, mesh.tet_vertices(), f)[0])
     else:
         loads = np.repeat((vols * np.asarray(f, dtype=float) / 4.0)[:, None], 4, axis=1)
     rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=ndof)
@@ -216,7 +214,7 @@ def assemble_rt0_mixed(mesh, f):
         shape=(nt, nf),
     ).tocsr()
 
-    f_int = element_volumes(mesh) * mean(tet_rule_degree5(), mesh.tet_vertices(), f)
+    f_int = integrate(tet_rule_degree5(), mesh.tet_vertices(), f)
     matrix = sp.bmat([[a_block, b_block.T], [b_block, None]], format="csr")
     rhs = np.concatenate([np.zeros(nf), -f_int])
     constrained = np.zeros(nf + nt, dtype=bool)

@@ -168,7 +168,7 @@ def _duality_deviation(mesh, rng, samples=50, flip_rt_signs=False):
     """
     faces = mesh.faces
     vols = geometry.element_volumes(mesh)
-    grads = -3.0 * geometry.barycentric_gradients(mesh)
+    grads = elements.cr_gradients(geometry.barycentric_gradients(mesh))
     v4 = mesh.tet_vertices()
     centres = v4.mean(axis=1)
     signs = np.abs(faces.tet_face_signs) if flip_rt_signs else faces.tet_face_signs
@@ -180,7 +180,7 @@ def _duality_deviation(mesh, rng, samples=50, flip_rt_signs=False):
         psi[faces.boundary] = 0.0
         a, b = geometry.rt0_affine(v4, flux[faces.tet_faces] * signs)
         # v at the barycentre, one affine evaluation per element
-        v_mid = a[:, None] * centres - b
+        v_mid = geometry.affine_field(a, b, centres[:, None, :])[:, 0]
         div = 3.0 * a
         grad_psi = np.einsum("ti,tid->td", psi[faces.tet_faces], grads)
         psi_mid = psi[faces.tet_faces].sum(axis=1) / 4.0

@@ -127,7 +127,8 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
             ["--pairs", "2:2", "--gamma", "inf", "--out", str(existing)],
             ["--pairs", "2:2", "--out", str(missing / "x.csv")],
             ["--pairs", "2:2", "--vtk", str(missing / "stem")],
-            ["--pairs", ""], ["--pairs", "", "--out", str(existing)])] + [
+            ["--pairs", ""], ["--pairs", "", "--out", str(existing)],
+            ["--gamma", "1100", "--pairs", "2:2"])] + [
             ["interp-demo", "--gamma", "nan"],
             ["interp-demo", "--n-values", ""],
             ["interp-demo", "--n-values", "-3", "--out", str(existing)],
@@ -152,6 +153,12 @@ def test_converge_matches_reference_bytes(capsys, name, argv):
     code, out, _ = run(capsys, ["converge", *argv, "--pairs", "2:2,4:8"])
     assert code == 0
     assert out.encode() == (DATA / name).read_bytes()
+
+
+def test_interp_demo_matches_reference_bytes(capsys):
+    code, out, _ = run(capsys, ["interp-demo"])
+    assert code == 0
+    assert out.encode() == (DATA / "interp_demo.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -184,6 +191,17 @@ def test_numerical_value_error_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("M,N,")
     assert "singular element" in err
+
+
+def test_interp_demo_non_finite_row_exits_1(capsys):
+    # at gamma=400 the sliver's interpolation error overflows to inf: the row
+    # is refused whole, after the header
+    code, out, err = run(capsys, ["interp-demo", "--gamma", "400",
+                                  "--n-values", "4"])
+    assert code == 1
+    assert out == "N,h,H_T,err,r\n"
+    assert "inf" not in out
+    assert err.startswith("numerical failure:")
 
 
 def test_converge_solver_failure_partial_table(capsys):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import anisofem as af
 from anisofem.mesh import LOCAL_FACES
@@ -39,38 +40,45 @@ def test_barycentric_map_properties():
 
 
 def test_cr_basis_delta_and_partition():
+    # theta_i is cr_eval with the i-th unit coefficient vector
     rng = np.random.default_rng(22)
     tri_rule = af.tri_rule_midpoint3()
     for _ in range(50):
         v = random_tet(rng)
-        basis = af.CRBasis(v)
         pts = rng.dirichlet(np.ones(4), 10) @ v
-        assert np.abs(basis.values(pts).sum(axis=1) - 1.0).max() < 1e-13
+        assert np.abs(af.elements.cr_eval(v, np.ones(4), pts) - 1.0).max() < 1e-13
         for j in range(4):
             face = v[LOCAL_FACES[j]]
             area = af.simplex_measure(face)
             for i in range(4):
                 mean = af.integrate(
                     tri_rule, face,
-                    lambda x, y, z, i=i: basis.values(
-                        np.stack([x, y, z], axis=-1))[:, i]) / area
+                    lambda x, y, z, i=i: af.elements.cr_eval(
+                        v, np.eye(4)[i], np.stack([x, y, z], axis=-1))) / area
                 assert abs(mean - (1.0 if i == j else 0.0)) < 1e-13
         # theta_i is identically one on its own face
         face_pts = tri_rule.points @ v[LOCAL_FACES[2]]
-        assert np.abs(basis.values(face_pts)[:, 2] - 1.0).max() < 1e-13
+        on_face = af.elements.cr_eval(v, np.eye(4)[2], face_pts)
+        assert np.abs(on_face - 1.0).max() < 1e-13
 
 
 def test_rt0_basis_delta_and_divergence():
+    # psi_i is rt_eval with the i-th unit coefficient vector: chi_j(psi_i) is
+    # delta_ij and div psi_i = |F_i|/|T|, here from differences of the affine
+    # field along the axes
     rng = np.random.default_rng(23)
     for _ in range(100):
         v = random_tet(rng)
-        basis = af.RT0Basis(v)
+        areas = af.geometry.face_geometry(v)[0]
+        volume = af.simplex_measure(v)
         for i in range(4):
-            dofs = basis.dof(lambda x, y, z, i=i: basis.values(
-                np.stack([x, y, z], axis=-1))[:, i])
-            assert np.abs(dofs - np.eye(4)[i]).max() < 1e-12
-        assert np.allclose(basis.divergences, basis.face_areas / basis.volume,
-                           rtol=1e-14)
+            psi = lambda x, y, z, i=i: af.elements.rt_eval(
+                v, np.eye(4)[i], np.stack([x, y, z], axis=-1))
+            assert np.abs(af.rt_interpolate(v, psi) - np.eye(4)[i]).max() < 1e-12
+            steps = af.elements.rt_eval(v, np.eye(4)[i],
+                                        np.vstack([np.zeros(3), np.eye(3)]))
+            div = np.trace(steps[1:] - steps[0])
+            assert abs(div - areas[i] / volume) <= 1e-12 * areas[i] / volume
 
 
 def test_p0_project():
@@ -177,12 +185,12 @@ def test_rt_interpolate_constant_and_identity():
 def test_rt_interpolate_gradient_field_vs_dense_oracle():
     grad = lambda x, y, z: np.stack([2 * x * y, x ** 2, np.zeros_like(x)], axis=-1)
     coeffs = af.rt_interpolate(REF_TET, grad)
-    basis = af.RT0Basis(REF_TET)
+    areas, normals, _ = af.geometry.face_geometry(REF_TET)
     for i in range(4):
         face = REF_TET[LOCAL_FACES[i]]
-        n = basis.normals[i]
+        n = normals[i]
         dense = duffy_face_integral(
-            face, lambda x, y, z: grad(x, y, z) @ n) / basis.face_areas[i]
+            face, lambda x, y, z: grad(x, y, z) @ n) / areas[i]
         assert abs(coeffs[i] - dense) < 1e-10
 
 
@@ -232,3 +240,18 @@ def test_rt0_field_reproduced_by_commuting_both_sides():
     lhs, rhs = af.local_commuting_check(v, field, div)
     assert abs(lhs - 3 * q) < 1e-12
     assert abs(rhs - 3 * q) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coplanar_tet_rejected():
+    # four vertices in one plane: zero volume, yet every face has area 1/2,
+    # so only a volume check catches it, before anything divides by it
+    flat = np.array([[0., 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    field = lambda x, y, z: np.stack([x, y, z], axis=-1)
+    for call in (lambda: af.rt_interpolate(flat, field),
+                 lambda: af.elements.rt_eval(flat, np.ones(4), flat),
+                 lambda: af.elements.cr_eval(flat, np.ones(4), flat),
+                 lambda: af.local_commuting_check(
+                     flat, field, lambda x, y, z: np.full_like(x, 3.0))):
+        with pytest.raises(ValueError, match="degenerate"):
+            call()

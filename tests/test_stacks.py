@@ -42,11 +42,13 @@ CASES = [
     ("p0_project", lambda v, p: af.p0_project(
         v, lambda x, y, z: x * x + y), [()], True),
     ("cr_interpolate", lambda v, p: af.cr_interpolate(v, _vector), [(4, 2)], True),
-    ("barycentric_coords", lambda v, p: af.BarycentricMap(v).coords(p), [(5, 4)], False),
+    ("barycentric_coords", lambda v, p: af.BarycentricMap(v).coords(p), [(5, 4)], True),
     ("barycentric_gradients", lambda v, p: af.BarycentricMap(v).gradients,
-     [(4, 3)], False),
-    ("rt0_values", lambda v, p: af.RT0Basis(v).values(p), [(5, 4, 3)], True),
-    ("rt0_dof", lambda v, p: af.RT0Basis(v).dof(_field), [(4,)], True),
+     [(4, 3)], True),
+    # coefficients (..., 4) taken from the vertices' x coordinates
+    ("cr_eval", lambda v, p: af.elements.cr_eval(v, v[..., 0], p), [(5,)], True),
+    ("rt_eval", lambda v, p: af.elements.rt_eval(v, v[..., 0], p), [(5, 3)], True),
+    ("rt_interpolate", lambda v, p: af.rt_interpolate(v, _field), [(4,)], True),
     ("bubble_spread", lambda v, p: af.bubble_spread(v), [()], False),
     ("bubble_eval", lambda v, p: af.bubble_eval(v, p), [(5,)], False),
     ("bubble_grad", lambda v, p: af.bubble_grad(v, p), [(5, 3)], False),
