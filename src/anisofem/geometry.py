@@ -71,11 +71,15 @@ def face_geometry(verts):
     """Areas, outward unit normals and centroids of the 4 faces of each tet.
 
     Returns (areas, normals, centroids) with shapes (..., 4), (..., 4, 3) and
-    (..., 4, 3); face i is opposite vertex i.
+    (..., 4, 3); face i is opposite vertex i.  A face whose area is not
+    positive (a flat face, or one whose cross product underflows on an
+    extreme sliver) raises ValueError before anything divides by it.
     """
     a, b, c = (verts[..., LOCAL_FACES[:, j], :] for j in range(3))
     cross = np.cross(b - a, c - a)
     areas = 0.5 * np.linalg.norm(cross, axis=-1)
+    if not areas.min(initial=np.inf) > 0:
+        raise ValueError("degenerate face: zero area")
     normals = cross / (2.0 * areas[..., None])
     inward = np.einsum("...j,...j->...", normals,
                        verts.mean(axis=-2, keepdims=True) - a) > 0

@@ -204,6 +204,16 @@ def test_interp_demo_non_finite_row_exits_1(capsys):
     assert err.startswith("numerical failure:")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_interp_demo_underflowing_face_area_reported(capsys):
+    # the gamma=400 sliver has a positive volume, but one face's cross
+    # product underflows to a zero area: refused before any division
+    code, out, err = run(capsys, ["interp-demo", "--gamma", "400",
+                                  "--n-values", "4"])
+    assert code == 1
+    assert "degenerate face" in err
+
+
 def test_converge_solver_failure_partial_table(capsys):
     code, out, err = run(capsys, ["converge", "--element", "cr",
                                   "--pairs", "2:2", "--tol", "1e-30"])

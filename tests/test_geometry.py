@@ -119,6 +119,15 @@ def test_degenerate_tet_rejected():
         af.global_metrics(flat)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_underflowing_face_area_rejected():
+    # h^400 at h = 1/4: the volume is positive, one face area underflows to 0
+    sliver = af.sliver_tet(4, 400.0)
+    assert af.geometry.tet_volumes(sliver) > 0
+    with pytest.raises(ValueError, match="degenerate face"):
+        af.geometry.face_geometry(sliver)
+
+
 def test_empty_mesh_rejected():
     with pytest.raises(ValueError):
         af.global_metrics(Mesh(np.zeros((0, 3)), np.zeros((0, 4), dtype=int)))

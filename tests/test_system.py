@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import anisofem as af
 from anisofem.mesh import LOCAL_FACES, Mesh
@@ -94,6 +95,84 @@ def test_solve_spd_reports_nonconvergence():
     with pytest.raises(af.SolverError) as err:
         af.solve_spd(system, tol=1e-10, max_iter=3)
     assert err.value.residual > 1e-10
+
+
+def jittered_cube(m, n, seed=35):
+    """generate_aniso_cube(m, n) with every interior vertex moved by up to a
+    fifth of the box size along each axis: no longer a tensor grid."""
+    mesh = af.generate_aniso_cube(m, n)
+    v = mesh.vertices.copy()
+    inner = ((v > 0) & (v < 1)).all(axis=1)
+    rng = np.random.default_rng(seed)
+    v[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 3)) * [1 / m, 1 / m, 1 / n]
+    return Mesh(v, mesh.tets)
+
+
+def assert_matches_spsolve(system, field):
+    exact = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.abs(field.coeffs - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("m, n, jacobi, bound", [(4, 16, 95, 40),
+                                                 (8, 64, 371, 70)])
+def test_cr_column_preconditioner_iterations(m, n, jacobi, bound):
+    # Jacobi-CG takes `jacobi` iterations here, so a silent fall-back fails
+    system = af.assemble_cr(af.generate_aniso_cube(m, n), CASE.f)
+    field = af.solve_spd(system)
+    assert field.solve_info["iterations"] <= bound < jacobi
+    assert field.solve_info["residual"] <= 1e-10
+    if m == 4:
+        assert_matches_spsolve(system, field)
+
+
+def test_face_columns_partition_the_faces():
+    m, n = 4, 16
+    mesh = af.generate_aniso_cube(m, n)
+    order, label = af.assemble_cr(mesh, CASE.f).columns
+    nf = mesh.faces.n_faces
+    # a permutation whose columns are contiguous runs, each bottom to top
+    assert np.array_equal(np.sort(order), np.arange(nf))
+    assert label.shape == (nf,)
+    runs = label[order]
+    assert (np.diff(runs) >= 0).all()
+    z = mesh.vertices[mesh.faces.vertices, 2].mean(axis=1)[order]
+    assert (np.diff(z)[np.diff(runs) == 0] >= -1e-15).all()
+    # the faces strictly inside box column (i, j) make up one column each
+    xy = mesh.vertices[mesh.faces.vertices, :2].mean(axis=1) * m
+    inside = (np.abs(xy - np.round(xy)) > 1e-9).all(axis=1)
+    box = np.floor(xy[inside]).astype(int) @ [m, 1]
+    pairs = np.unique(np.stack([box, label[inside]]), axis=1)
+    assert pairs.shape[1] == m * m
+    assert len(np.unique(pairs[1])) == m * m
+
+
+def test_cr_column_preconditioner_off_the_grid():
+    # jittered vertices give narrower bins, but the blocks are still exact
+    # solves on parts of the matrix, so the contract holds
+    mesh = jittered_cube(4, 16)
+    assert af.validate_conformity(mesh).ok
+    system = af.assemble_cr(mesh, CASE.f)
+    assert len(np.unique(system.columns[1])) > 24  # 24 bins on the grid
+    field = af.solve_spd(system)
+    assert field.solve_info["preconditioner"] == "column-band"
+    assert field.solve_info["residual"] <= 1e-10
+    assert_matches_spsolve(system, field)
+
+
+def test_solve_info_names_the_preconditioner():
+    mesh = af.generate_aniso_cube(2, 4)
+    cr = af.solve_spd(af.assemble_cr(mesh, CASE.f)).solve_info
+    assert (cr["preconditioner"], cr["bandwidth"]) == ("column-band", 5)
+    p1 = af.solve_spd(af.assemble_p1(mesh, CASE.f)).solve_info
+    assert (p1["preconditioner"], p1["bandwidth"]) == ("jacobi", 0)
+    hand = af.SparseSystem(sp.identity(3, format="csr"), np.ones(3), "cr",
+                           mesh, np.zeros(3, dtype=bool))
+    assert af.solve_spd(hand).solve_info["preconditioner"] == "jacobi"
+    # the RT0 field reports the CR solve it was rebuilt from
+    cr_field, gamma = af.enriched_cr_solve(mesh, CASE.f)
+    rt, _ = af.marini_reconstruct(mesh, cr_field, gamma)
+    assert rt.solve_info == cr_field.solve_info
+    assert rt.solve_info["preconditioner"] == "column-band"
 
 
 def test_galerkin_consistency():
