@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .elements import cr_gradients, cr_interpolate_pointwise
-from .geometry import barycentric_gradients, element_volumes, tet_geometry
+from .geometry import (barycentric_gradients, element_volumes, per_block,
+                       tet_geometry)
 from .mesh import Mesh
 from .quadrature import (mean, sample, tet_rule_degree2, tet_rule_degree5,
                          tri_rule_midpoint3)
@@ -80,12 +81,14 @@ def l2_error(mesh, field, u_exact, rule=None):
     For rt0 fields the piecewise-constant cell part is compared.
     """
     rule = rule or _RULE5
-    exact, vols = sample(rule, mesh.tet_vertices(), u_exact)
-    if field.space == "rt0":
-        values = field.cell_coeffs[:, None]
-    else:
-        values = field.element_values(rule.points)
-    per_element = np.einsum("q,tq->t", rule.weights, (exact - values) ** 2)
+
+    def block(s):
+        exact, vols = sample(rule, mesh.tet_vertices(s), u_exact)
+        values = (field.cell_coeffs[s, None] if field.space == "rt0"
+                  else field.element_values(rule.points, s))
+        return vols, np.einsum("q,tq->t", rule.weights, (exact - values) ** 2)
+
+    vols, per_element = per_block(mesh.n_tets, block)
     return math.sqrt(float(vols @ per_element))
 
 
@@ -95,12 +98,14 @@ def broken_h1_error(mesh, field, grad_exact, rule=None):
     For rt0 fields the flux sigma plays the role of the discrete gradient.
     """
     rule = rule or _RULE5
-    exact, vols = sample(rule, mesh.tet_vertices(), grad_exact)
-    if field.space == "rt0":
-        diff = exact - field.flux_values(rule.points)
-    else:
-        diff = exact - field.element_gradients()[:, None, :]
-    per_element = np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
+
+    def block(s):
+        exact, vols = sample(rule, mesh.tet_vertices(s), grad_exact)
+        diff = exact - (field.flux_values(rule.points, s) if field.space == "rt0"
+                        else field.element_gradients(s)[:, None, :])
+        return vols, np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
+
+    vols, per_element = per_block(mesh.n_tets, block)
     return math.sqrt(float(vols @ per_element))
 
 

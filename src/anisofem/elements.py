@@ -13,7 +13,7 @@ sigma = a x - b of ``geometry.rt0_affine``; there is no per-tet basis object.
 import numpy as np
 
 from .geometry import (LOCAL_FACES, affine_field, barycentric_coefficients,
-                       face_geometry, rt0_affine, tet_volumes)
+                       face_geometry, per_block, rt0_affine, tet_volumes)
 from .quadrature import mean, tet_rule_degree5, tri_rule_midpoint3
 
 _TRI_RULE = tri_rule_midpoint3()
@@ -26,7 +26,6 @@ class BarycentricMap:
 
     def __init__(self, vertices):
         self.vertices = np.asarray(vertices, dtype=float)
-        tet_volumes(self.vertices)
         self._coef = barycentric_coefficients(self.vertices)
 
     def coords(self, points):
@@ -53,8 +52,13 @@ def cr_gradients(bary_gradients):
 
 
 def p0_project(vertices, f):
-    """Mean value of ``f`` over each tet, by the degree-5 rule."""
-    return mean(_TET_RULE5, vertices, f)
+    """Mean value of ``f`` over each tet, by the degree-5 rule; a stack of
+    tets is sampled in blocks along its first axis (``geometry.per_block``),
+    so ``f`` is called once per block."""
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.ndim == 2:
+        return mean(_TET_RULE5, vertices, f)
+    return per_block(len(vertices), lambda s: mean(_TET_RULE5, vertices[s], f))
 
 
 def cr_interpolate(vertices, f):

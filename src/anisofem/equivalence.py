@@ -15,6 +15,7 @@ the gradient and the mean of the enriched one, elementwise:
 import numpy as np
 
 from .elements import p0_project
+from .geometry import per_block
 from .mesh import face_traces
 from .quadrature import mean, tet_rule_degree2
 from .system import Field, assemble_cr, solve_spd
@@ -65,7 +66,7 @@ def bubble_identities(vertices):
 def enriched_cr_solve(mesh, f, tol=1e-10, bubble_stiffness=72.0):
     """Solve the CR problem enriched by one bubble per tet, with projected data.
 
-    f is sampled once, for its cell means f_T.  The CR block and the bubble
+    f is sampled once per tet, for its cell means f_T.  The CR block and the bubble
     block are orthogonal in the broken H1 product, so the CR part solves the
     plain system with cell-mean data and each bubble coefficient is
     gamma_T = f_T / 72, the bubble's load over its stiffness.
@@ -91,13 +92,18 @@ def marini_reconstruct(mesh, cr_field, gamma):
     """
     if cr_field.space != "cr" or cr_field.mesh is not mesh:
         raise ValueError("marini_reconstruct needs a CR field on the same mesh")
-    v = mesh.tet_vertices()
-    # sigma = grad u_CR + slope (x - x_T) is affine; the two candidates of an
-    # interior face disagree by the conformity defect
+    # sigma = grad u_CR + slope (x - x_T) = slope x - b is affine; the two
+    # candidates of an interior face disagree by the conformity defect
     slope = -24.0 * gamma
-    flux, mismatch = face_traces(
-        mesh, slope, slope[:, None] * v.mean(axis=1) - cr_field.element_gradients())
-    cell = cr_field.element_coeffs().sum(axis=1) / 4.0 + 0.4 * gamma * bubble_spread(v)
+
+    def block(s):
+        v = mesh.tet_vertices(s)
+        return (slope[s, None] * v.mean(axis=1) - cr_field.element_gradients(s),
+                cr_field.element_coeffs(s).sum(axis=1) / 4.0
+                + 0.4 * gamma[s] * bubble_spread(v))
+
+    b, cell = per_block(mesh.n_tets, block)
+    flux, mismatch = face_traces(mesh, slope, b)
     rt = Field("rt0", mesh, flux, cell_coeffs=cell,
                solve_info=dict(cr_field.solve_info))
     return rt, mismatch

@@ -2,8 +2,9 @@
 geometry, the RT0 local field and the edge-pair anisotropy measure.
 
 Each per-element formula is written once, over stacks of vertex arrays of
-shape (..., 4, 3); the mesh-level functions apply it to
-``mesh.tet_vertices()`` and per-tet code passes a single (4, 3) array.
+shape (..., 4, 3); per-tet code passes a single (4, 3) array, and the
+mesh-level functions apply it to ``mesh.tet_vertices(block)`` for one block of
+tets at a time through ``per_block``.
 
 The anisotropy measure of a tet is h^2/|T| times a minimum of products of two
 edge lengths.  Two variants are provided: ``aniso`` minimises over all 15
@@ -51,20 +52,68 @@ class MeshMetrics:
     consistency_ratio: float  # max over tets of diameter^2 / min face distance
 
 
+# tets per block of the mesh-level per-element passes: a block's temporaries
+# (up to 15 quadrature points x 3 doubles per tet and value) stay in cache,
+# where whole-mesh ones stream through memory; chosen by measurement
+BLOCK = 2048
+
+
+def per_block(n, kernel):
+    """``kernel(s)`` on the slices s of range(n), BLOCK elements each (one
+    empty slice when n = 0), its output arrays (one or a tuple) joined along
+    the first axis.  Per-element kernels give the same bits at any block
+    size; sums across elements are left to the caller, to run once over the
+    joined arrays, so no result depends on BLOCK."""
+    parts = [kernel(slice(i, i + BLOCK)) for i in range(0, max(n, 1), BLOCK)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
+def cross(a, b):
+    """a x b over the last axis, component by component."""
+    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                    axis=-1)
+
+
 def signed_volumes(verts):
     """Signed volumes of tets given by their vertices (..., 4, 3), shape (...)."""
     d = verts[..., 1:, :] - verts[..., :1, :]
-    return np.einsum("...j,...j->...", np.cross(d[..., 0, :], d[..., 1, :]),
+    return np.einsum("...j,...j->...", cross(d[..., 0, :], d[..., 1, :]),
                      d[..., 2, :]) / 6.0
+
+
+def _reject_degenerate(volumes):
+    if np.any(volumes <= 1e-300):
+        raise ValueError("degenerate tet: zero volume")
+    return volumes
+
+
+def tet_gradients(verts):
+    """Constant gradients of the barycentric coordinates (..., 4, 3), by
+    cofactors: with d_j = x_j - x_0, grad lambda_1..3 = (d2 x d3, d3 x d1,
+    d1 x d2) / det and grad lambda_0 = -their sum.  A degenerate tet raises
+    ValueError before the division."""
+    d1, d2, d3 = (verts[..., j, :] - verts[..., 0, :] for j in (1, 2, 3))
+    g = np.stack([cross(d2, d3), cross(d3, d1), cross(d1, d2)], axis=-2)
+    det = np.einsum("...j,...j->...", g[..., 2, :], d3)
+    _reject_degenerate(np.abs(det) / 6.0)
+    g /= det[..., None, None]
+    return np.concatenate([-g.sum(axis=-2, keepdims=True), g], axis=-2)
 
 
 def barycentric_coefficients(verts):
     """Affine coefficients of the barycentric coordinates, shape (..., 4, 4).
 
-    Column i holds (gx, gy, gz, c) of lambda_i(x) = g . x + c.
+    Column i holds (gx, gy, gz, c) of lambda_i(x) = g . x + c: g from
+    ``tet_gradients``, c from lambda_i(x_0) = delta_i0.  A degenerate tet
+    raises ValueError.
     """
-    vm = np.concatenate([verts, np.ones(verts.shape[:-1] + (1,))], axis=-1)
-    return np.linalg.inv(vm)
+    g = tet_gradients(verts)
+    c = -np.einsum("...id,...d->...i", g, verts[..., 0, :])
+    c[..., 0] += 1.0
+    return np.concatenate([np.swapaxes(g, -1, -2), c[..., None, :]], axis=-2)
 
 
 def face_geometry(verts):
@@ -76,11 +125,11 @@ def face_geometry(verts):
     extreme sliver) raises ValueError before anything divides by it.
     """
     a, b, c = (verts[..., LOCAL_FACES[:, j], :] for j in range(3))
-    cross = np.cross(b - a, c - a)
-    areas = 0.5 * np.linalg.norm(cross, axis=-1)
+    n = cross(b - a, c - a)
+    areas = 0.5 * np.linalg.norm(n, axis=-1)
     if not areas.min(initial=np.inf) > 0:
         raise ValueError("degenerate face: zero area")
-    normals = cross / (2.0 * areas[..., None])
+    normals = n / (2.0 * areas[..., None])
     inward = np.einsum("...j,...j->...", normals,
                        verts.mean(axis=-2, keepdims=True) - a) > 0
     normals[inward] *= -1.0
@@ -90,10 +139,7 @@ def face_geometry(verts):
 def tet_volumes(verts):
     """|T| of each tet of a stack (..., 4, 3); a degenerate tet (volume at
     most 1e-300) raises ValueError before anything divides by its volume."""
-    volumes = np.abs(signed_volumes(verts))
-    if np.any(volumes <= 1e-300):
-        raise ValueError("degenerate tet: zero volume")
-    return volumes
+    return _reject_degenerate(np.abs(signed_volumes(verts)))
 
 
 def rt0_scales(areas, volumes):
@@ -124,17 +170,18 @@ def affine_field(a, b, points):
 
 def element_volumes(mesh):
     """Volumes of all tets, shape (nt,)."""
-    return np.abs(signed_volumes(mesh.tet_vertices()))
+    return per_block(mesh.n_tets,
+                     lambda s: np.abs(signed_volumes(mesh.tet_vertices(s))))
 
 
 def barycentric_gradients(mesh):
     """Constant gradients of the barycentric coordinates, shape (nt, 4, 3)."""
-    return barycentric_coefficients(mesh.tet_vertices())[:, :3, :].transpose(0, 2, 1)
+    return per_block(mesh.n_tets, lambda s: tet_gradients(mesh.tet_vertices(s)))
 
 
 def local_face_geometry(mesh):
     """``face_geometry`` of every tet of ``mesh``."""
-    return face_geometry(mesh.tet_vertices())
+    return per_block(mesh.n_tets, lambda s: face_geometry(mesh.tet_vertices(s)))
 
 
 def _tet_metrics(verts):
@@ -181,9 +228,11 @@ def global_metrics(mesh):
     """
     if mesh.n_tets == 0:
         raise ValueError("empty mesh")
-    _, _, diameters, _, distances, aniso, _ = _tet_metrics(mesh.tet_vertices())
-    return MeshMetrics(
-        h=float(diameters.max()),
-        aniso_max=float(aniso.max()),
-        consistency_ratio=float((diameters ** 2 / distances.min(axis=1)).max()),
-    )
+
+    def block(s):
+        _, _, diameters, _, distances, aniso, _ = _tet_metrics(mesh.tet_vertices(s))
+        return diameters, aniso, diameters ** 2 / distances.min(axis=1)
+
+    diameters, aniso, ratio = per_block(mesh.n_tets, block)
+    return MeshMetrics(h=float(diameters.max()), aniso_max=float(aniso.max()),
+                       consistency_ratio=float(ratio.max()))

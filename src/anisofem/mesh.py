@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (LOCAL_FACES, affine_field, face_geometry,
-                       local_face_geometry, signed_volumes)
+from .geometry import (LOCAL_FACES, affine_field, face_geometry, per_block,
+                       signed_volumes)
 
 # Box corners are indexed b = di + 2*dj + 4*dk.  Each row below is one tet of
 # the 5-tet split (central tet first); _SPLIT_ODD is the mirror image used on
@@ -171,7 +171,8 @@ def build_face_table(mesh):
     sides[:, 0] = order[start]
     sides[interior, 1] = order[start[interior] + 1]
 
-    normals = face_geometry(mesh.tet_vertices())[1].reshape(-1, 3)[sides[:, 0]]
+    normals = per_block(nt, lambda s: face_geometry(mesh.tet_vertices(s))[1])
+    normals = normals.reshape(-1, 3)[sides[:, 0]]
     signs = np.full(4 * nt, -1.0)
     signs[sides[:, 0]] = 1.0
     table = FaceTable(
@@ -193,8 +194,12 @@ def face_traces(mesh, a, b):
     the value seen from the first side of each face, shape (nf,), and the
     largest disagreement between the two sides of an interior face."""
     faces = mesh.faces
-    sigma = affine_field(a, b, local_face_geometry(mesh)[2])
-    trace = np.einsum("tid,tid->ti", sigma, faces.normals[faces.tet_faces]).ravel()
+
+    def block(s):
+        sigma = affine_field(a[s], b[s], face_geometry(mesh.tet_vertices(s))[2])
+        return np.einsum("tid,tid->ti", sigma, faces.normals[faces.tet_faces[s]])
+
+    trace = per_block(mesh.n_tets, block).ravel()
     inner = faces.sides[~faces.boundary]
     gaps = np.abs(trace[inner[:, 0]] - trace[inner[:, 1]])
     return trace[faces.sides[:, 0]], float(gaps.max(initial=0.0))

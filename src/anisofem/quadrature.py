@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .geometry import signed_volumes
+from .geometry import cross, signed_volumes
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def simplex_measure(vertices):
         return np.abs(signed_volumes(vertices))
     if vertices.shape[-2:] == (3, 3):
         d = vertices[..., 1:, :] - vertices[..., :1, :]
-        return 0.5 * np.linalg.norm(np.cross(d[..., 0, :], d[..., 1, :]), axis=-1)
+        return 0.5 * np.linalg.norm(cross(d[..., 0, :], d[..., 1, :]), axis=-1)
     raise ValueError(f"expected (..., 4, 3) or (..., 3, 3) vertex array, "
                      f"got {vertices.shape}")
 
@@ -102,11 +102,18 @@ def sample(rule, vertices, f):
             measure)
 
 
+def _weighted_sum(values, weights, axis):
+    # einsum sums each simplex in one order wherever it sits in the stack, so
+    # a blocked pass gives the same bits; BLAS (tensordot) does not
+    axes = list(range(values.ndim))
+    return np.einsum(values, axes, weights, [axis], axes[:axis] + axes[axis + 1:])[()]
+
+
 def mean(rule, vertices, f):
     """Mean value of ``f`` over each simplex, called as ``sample``: the
     weighted sum of its samples, since the rule's weights sum to 1."""
     values, measure = sample(rule, vertices, f)
-    return np.tensordot(values, rule.weights, (measure.ndim, 0))[()]
+    return _weighted_sum(values, rule.weights, measure.ndim)
 
 
 def integrate(rule, vertices, f):
@@ -114,5 +121,5 @@ def integrate(rule, vertices, f):
     called as ``sample``; the result has the stack shape followed by the value
     shape."""
     values, measure = sample(rule, vertices, f)
-    means = np.tensordot(values, rule.weights, (measure.ndim, 0))[()]
+    means = _weighted_sum(values, rule.weights, measure.ndim)
     return np.expand_dims(measure, tuple(range(measure.ndim, means.ndim))) * means

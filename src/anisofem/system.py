@@ -2,10 +2,10 @@
 discretisations of the homogeneous-Dirichlet Poisson problem, with iterative
 solvers.
 
-Assembly is vectorised over elements.  Dirichlet constraints use symmetric
-elimination: constrained rows and columns are dropped from the stencil and a
-unit diagonal is left in place, which keeps the P1/CR matrices symmetric
-positive definite.  The mixed system is the symmetric indefinite block matrix
+Assembly is vectorised over blocks of elements.  Dirichlet constraints use
+symmetric elimination: constrained rows and columns are zeroed in place and a
+unit diagonal is left, which keeps the P1/CR matrices symmetric positive
+definite.  The mixed system is the symmetric indefinite block matrix
 [[A, B^T], [B, 0]] over flux and cell unknowns; flux DOFs follow the fixed
 face normals of the mesh face table, so normal continuity holds by
 construction.
@@ -28,8 +28,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .elements import cr_gradients, cr_shape
-from .geometry import (affine_field, barycentric_gradients, element_volumes,
-                       local_face_geometry, rt0_affine, rt0_scales)
+from .geometry import (affine_field, element_volumes, local_face_geometry,
+                       per_block, rt0_affine, rt0_scales, signed_volumes,
+                       tet_gradients)
 from .quadrature import integrate, sample, tet_rule_degree2, tet_rule_degree5
 
 
@@ -62,7 +63,8 @@ class Field:
 
     coeffs holds vertex values (p1), face values (cr) or face-normal fluxes
     (rt0); cell_coeffs holds the piecewise-constant part of the mixed
-    solution.
+    solution.  The per-element methods take the tets ``tets`` (an index into
+    ``mesh.tets``, all by default), so a pass can run block by block.
     """
 
     space: str
@@ -71,43 +73,44 @@ class Field:
     cell_coeffs: np.ndarray | None = None
     solve_info: dict = field(default_factory=dict)
 
-    def element_coeffs(self):
+    def element_coeffs(self, tets=slice(None)):
         """Per-element DOF values, (nt, 4)."""
         if self.space == "p1":
-            return self.coeffs[self.mesh.tets]
+            return self.coeffs[self.mesh.tets[tets]]
         if self.space == "cr":
-            return self.coeffs[self.mesh.faces.tet_faces]
+            return self.coeffs[self.mesh.faces.tet_faces[tets]]
         raise ValueError(f"no scalar element coefficients for space {self.space!r}")
 
-    def element_gradients(self):
+    def element_gradients(self, tets=slice(None)):
         """Constant per-element gradients, (nt, 3)."""
-        grads = barycentric_gradients(self.mesh)
+        grads = tet_gradients(self.mesh.tet_vertices(tets))
         if self.space == "cr":
             grads = cr_gradients(grads)
         elif self.space != "p1":
             raise ValueError(f"no constant gradients for space {self.space!r}")
-        return np.einsum("ti,tid->td", self.element_coeffs(), grads)
+        return np.einsum("ti,tid->td", self.element_coeffs(tets), grads)
 
-    def element_values(self, bary):
+    def element_values(self, bary, tets=slice(None)):
         """Values at barycentric points ``bary`` (nq, 4) on every element."""
         basis = np.asarray(bary) if self.space == "p1" else cr_shape(bary)
-        return np.einsum("qi,ti->tq", basis, self.element_coeffs())
+        return np.einsum("qi,ti->tq", basis, self.element_coeffs(tets))
 
-    def flux_values(self, bary):
+    def flux_values(self, bary, tets=slice(None)):
         """RT0 vector values at barycentric points, (nt, nq, 3)."""
-        v = self.mesh.tet_vertices()
-        a, b = self._flux_affine(v)
+        v = self.mesh.tet_vertices(tets)
+        a, b = self._flux_affine(v, tets)
         return affine_field(a, b, np.einsum("qi,tid->tqd", np.asarray(bary), v))
 
     def flux_divergence(self):
         """Constant per-element divergence of an rt0 field, (nt,)."""
-        return 3.0 * self._flux_affine(self.mesh.tet_vertices())[0]
+        return 3.0 * self._flux_affine(self.mesh.tet_vertices(), slice(None))[0]
 
-    def _flux_affine(self, v):
+    def _flux_affine(self, v, tets):
         if self.space != "rt0":
             raise ValueError("fluxes only exist for rt0 fields")
         faces = self.mesh.faces
-        return rt0_affine(v, self.coeffs[faces.tet_faces] * faces.tet_face_signs)
+        return rt0_affine(v, self.coeffs[faces.tet_faces[tets]]
+                          * faces.tet_face_signs[tets])
 
 
 def _scatter_square(local, dofs, ndof):
@@ -118,26 +121,30 @@ def _scatter_square(local, dofs, ndof):
 
 
 def _apply_constraints(matrix, rhs, constrained):
+    """Zero the constrained rows and columns of the CSR ``matrix`` in place,
+    with 1 on their diagonal, and their right-hand sides."""
     if not constrained.any():
         return matrix, rhs
-    keep = ~constrained
-    diag = sp.diags(keep.astype(float))
-    matrix = diag @ matrix @ diag + sp.diags(constrained.astype(float))
-    rhs = np.where(constrained, 0.0, rhs)
-    return matrix.tocsr(), rhs
+    rows = np.repeat(np.arange(len(rhs)), np.diff(matrix.indptr))
+    unit = constrained[rows]
+    matrix.data[unit | constrained[matrix.indices]] = 0.0
+    matrix.data[unit & (rows == matrix.indices)] = 1.0
+    matrix.eliminate_zeros()
+    # a copy, so the matrix does not hold on to the 16 nt slots of the scatter
+    return matrix.copy(), np.where(constrained, 0.0, rhs)
 
 
 def _assemble_primal(kind, mesh, f, constrain):
     """P1 (vertex DOFs) or CR (face DOFs) system.
 
     The CR basis is ``elements.cr_shape``.  Every basis function has element
-    integral |T|/4, so cell means f_T give the load |T| f_T / 4 per DOF.
+    integral |T|/4, so cell means f_T give the load |T| f_T / 4 per DOF.  The
+    local matrices and loads are filled block by block and scattered once.
     """
     if not callable(f) and np.shape(f) != (mesh.n_tets,):
         raise ValueError(f"cell means of f need shape ({mesh.n_tets},), "
                          f"got {np.shape(f)}")
     faces = mesh.faces
-    grads = barycentric_gradients(mesh)
     if kind == "p1":
         dofs, ndof = mesh.tets, mesh.n_vertices
         constrained = np.zeros(ndof, dtype=bool)
@@ -145,18 +152,26 @@ def _assemble_primal(kind, mesh, f, constrain):
     else:
         dofs, ndof = faces.tet_faces, faces.n_faces
         constrained = faces.boundary.copy()
-        grads = cr_gradients(grads)
-    vols = element_volumes(mesh)
-    local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
-    matrix = _scatter_square(local, dofs, ndof)
+    rule = tet_rule_degree5()
+    basis = rule.points if kind == "p1" else cr_shape(rule.points)
 
-    if callable(f):
-        rule = tet_rule_degree5()
-        basis = rule.points if kind == "p1" else cr_shape(rule.points)
-        loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights, basis,
-                                          sample(rule, mesh.tet_vertices(), f)[0])
-    else:
-        loads = np.repeat((vols * np.asarray(f, dtype=float) / 4.0)[:, None], 4, axis=1)
+    def block(s):
+        v = mesh.tet_vertices(s)
+        grads = tet_gradients(v)
+        if kind == "cr":
+            grads = cr_gradients(grads)
+        vols = np.abs(signed_volumes(v))
+        local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
+        if callable(f):
+            loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights, basis,
+                                              sample(rule, v, f)[0])
+        else:
+            loads = np.repeat((vols * np.asarray(f[s], dtype=float) / 4.0)[:, None],
+                              4, axis=1)
+        return local, loads
+
+    local, loads = per_block(mesh.n_tets, block)
+    matrix = _scatter_square(local, dofs, ndof)
     rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=ndof)
     if constrain:
         matrix, rhs = _apply_constraints(matrix, rhs, constrained)

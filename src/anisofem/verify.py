@@ -102,8 +102,8 @@ def _exactness_deviation(rule, simplices):
     back to barycentric coordinates."""
     n, k = simplices.shape[:2]
     # a triangle is the face opposite an apex added off its plane
-    apex = simplices[:, :1] + np.cross(simplices[:, 1] - simplices[:, 0],
-                                       simplices[:, 2] - simplices[:, 0])[:, None]
+    apex = simplices[:, :1] + geometry.cross(simplices[:, 1] - simplices[:, 0],
+                                             simplices[:, 2] - simplices[:, 0])[:, None]
     bmap = elements.BarycentricMap(
         simplices if k == 4 else np.concatenate([simplices, apex], axis=1))
     exponents = np.array([e for e in itertools.product(range(rule.degree + 1), repeat=k)

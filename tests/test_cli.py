@@ -145,12 +145,17 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name,argv", [
-    ("converge_p1_exact-f.csv", ["--element", "p1"]),
-    ("converge_p1_projected-f.csv", ["--element", "p1", "--rhs", "projected-f"]),
-    ("converge_cr_projected-f.csv", ["--element", "cr", "--rhs", "projected-f"]),
+    ("converge_p1_exact-f.csv", ["--element", "p1", "--pairs", "2:2,4:8"]),
+    ("converge_p1_projected-f.csv", ["--element", "p1", "--rhs", "projected-f",
+                                     "--pairs", "2:2,4:8"]),
+    ("converge_cr_projected-f.csv", ["--element", "cr", "--rhs", "projected-f",
+                                     "--pairs", "2:2,4:8"]),
+    # 8:64 has 20480 tets, so every per-element pass runs over several blocks
+    ("converge_p1_exact-f_gamma2.csv", ["--element", "p1", "--gamma", "2.0",
+                                        "--pairs", "4:16,8:64"]),
 ])
 def test_converge_matches_reference_bytes(capsys, name, argv):
-    code, out, _ = run(capsys, ["converge", *argv, "--pairs", "2:2,4:8"])
+    code, out, _ = run(capsys, ["converge", *argv])
     assert code == 0
     assert out.encode() == (DATA / name).read_bytes()
 

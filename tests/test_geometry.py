@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import anisofem as af
+from anisofem.cli import DEFAULT_DEMO_N
 from anisofem.mesh import Mesh
 
 from conftest import random_tet
@@ -149,3 +150,44 @@ def test_per_tet_and_mesh_geometry_agree():
         assert np.allclose(own_normals, normals[t], rtol=1e-13, atol=1e-15)
         assert np.allclose(af.BarycentricMap(v).gradients, grads[t],
                            rtol=1e-13, atol=1e-13 * np.abs(grads[t]).max())
+
+
+def _inverse_oracle(verts):
+    """Barycentric coefficients as the inverse of [x_j 1] (rows j)."""
+    return np.linalg.inv(np.concatenate([verts, np.ones(verts.shape[:-1] + (1,))],
+                                        axis=-1))
+
+
+_rng = np.random.default_rng(11)
+TET_FAMILIES = {
+    "random": np.stack([random_tet(_rng) for _ in range(200)]),
+    "gamma2": af.generate_aniso_cube(8, 64).tet_vertices(),
+    "interp_demo_slivers": np.stack([af.sliver_tet(n) for n in DEFAULT_DEMO_N]),
+}
+
+
+@pytest.mark.parametrize("family", TET_FAMILIES)
+def test_closed_form_barycentric_coefficients(family):
+    verts = TET_FAMILIES[family]
+    coef = af.geometry.barycentric_coefficients(verts)
+    oracle = _inverse_oracle(verts)
+    scale = np.abs(oracle).max(axis=(-2, -1))
+    assert (np.abs(coef - oracle).max(axis=(-2, -1)) <= 1e-13 * scale).all()
+    # lambda_i(x_j) = delta_ij, to rounding relative to |g| |x|
+    bary = verts @ coef[..., :3, :] + coef[..., 3, None, :]
+    size = np.abs(coef[..., :3, :]).max(axis=(-2, -1)) * np.abs(verts).max(axis=(-2, -1))
+    assert (np.abs(bary - np.eye(4)).max(axis=(-2, -1))
+            <= 1e-14 * np.maximum(size, 1.0)).all()
+    assert np.array_equal(af.geometry.tet_gradients(verts),
+                          np.swapaxes(coef[..., :3, :], -1, -2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_rejects_coplanar_tet():
+    coplanar = np.array([[0., 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    stack = np.stack([REFERENCE, coplanar, REFERENCE]).astype(float)
+    for verts in (coplanar, stack):
+        with pytest.raises(ValueError, match="degenerate"):
+            af.geometry.barycentric_coefficients(verts)
+        with pytest.raises(ValueError, match="degenerate"):
+            af.geometry.tet_gradients(verts)

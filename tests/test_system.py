@@ -55,6 +55,21 @@ def test_assembled_matrices_exactly_symmetric():
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
+@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
+def test_constraints_in_place_match_product_form(assemble):
+    # oracle: diag(free) A diag(free) + diag(constrained) on the unconstrained
+    # matrix, the symmetric elimination as a sparse product
+    mesh = af.generate_aniso_cube(4, 8)
+    free = assemble(mesh, CASE.f, constrain=False)
+    system = assemble(mesh, CASE.f)
+    keep = sp.diags((~system.constrained).astype(float))
+    oracle = (keep @ free.matrix @ keep
+              + sp.diags(system.constrained.astype(float))).tocsr()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(system.matrix, attr), getattr(oracle, attr)), attr
+    assert np.array_equal(system.rhs, np.where(system.constrained, 0.0, free.rhs))
+
+
 def test_cell_mean_data():
     # a constant f integrates to the same load as its cell means, and cell
     # means of the wrong shape are rejected
