@@ -92,18 +92,16 @@ def l2_error(mesh, field, u_exact, rule=None):
     return math.sqrt(float(vols @ per_element))
 
 
-def broken_h1_error(mesh, field, grad_exact, rule=None):
+def broken_h1_error(mesh, field, grad_exact):
     """Broken H1 seminorm of the error: elementwise || grad u - grad u_h ||.
 
     For rt0 fields the flux sigma plays the role of the discrete gradient.
     """
-    rule = rule or _RULE5
-
     def block(s):
-        exact, vols = sample(rule, mesh.tet_vertices(s), grad_exact)
-        diff = exact - (field.flux_values(rule.points, s) if field.space == "rt0"
+        exact, vols = sample(_RULE5, mesh.tet_vertices(s), grad_exact)
+        diff = exact - (field.flux_values(_RULE5.points, s) if field.space == "rt0"
                         else field.element_gradients(s)[:, None, :])
-        return vols, np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
+        return vols, np.einsum("q,tqd,tqd->t", _RULE5.weights, diff, diff)
 
     vols, per_element = per_block(mesh.n_tets, block)
     return math.sqrt(float(vols @ per_element))

@@ -49,7 +49,6 @@ class TetGeometry:
 class MeshMetrics:
     h: float                 # max tet diameter
     aniso_max: float         # max over tets of the all-pairs anisotropy measure
-    consistency_ratio: float  # max over tets of diameter^2 / min face distance
 
 
 # tets per block of the mesh-level per-element passes: a block's temporaries
@@ -186,9 +185,9 @@ def local_face_geometry(mesh):
 
 def _tet_metrics(verts):
     """The one per-tet pass behind ``tet_geometry`` and ``global_metrics``,
-    over a stack (..., 4, 3): volumes, edge lengths, diameters, face areas,
-    vertex to opposite face distances and the (all-pairs, opposite-pairs)
-    anisotropy measures h^2/|T| * min of edge products.
+    over a stack (..., 4, 3): volumes, edge lengths, diameters and the
+    (all-pairs, opposite-pairs) anisotropy measures h^2/|T| * min of edge
+    products.
 
     Rejects degenerate tets before any division: flat-but-valid anisotropic
     elements are the object of study, and clamping would hide generator bugs.
@@ -197,42 +196,35 @@ def _tet_metrics(verts):
     lengths = np.linalg.norm(verts[..., EDGE_VERTICES[:, 0], :]
                              - verts[..., EDGE_VERTICES[:, 1], :], axis=-1)
     diameters = lengths.max(axis=-1)
-    areas = face_geometry(verts)[0]
     scale = diameters ** 2 / volumes
     aniso = [scale * np.min(np.stack([lengths[..., i] * lengths[..., j]
                                       for i, j in pairs], axis=-1), axis=-1)
              for pairs in (_ALL_EDGE_PAIRS, _OPPOSITE_EDGE_PAIRS)]
-    return (volumes, lengths, diameters, areas, 3.0 * volumes[..., None] / areas,
-            *aniso)
+    return (volumes, lengths, diameters, *aniso)
 
 
 def tet_geometry(mesh, tet_index):
     """All geometric quantities of tet ``tet_index``; a degenerate one raises."""
     verts = mesh.tet_vertices(tet_index)
-    volume, lengths, diameter, areas, distances, aniso, aniso_opp = _tet_metrics(verts)
+    volume, lengths, diameter, aniso, aniso_opp = _tet_metrics(verts)
+    areas = face_geometry(verts)[0]
     barycentre = verts.mean(axis=0)
     return TetGeometry(
         volume=float(volume), diameter=float(diameter), edge_lengths=lengths,
         barycentre=barycentre, spread=float(((verts - barycentre) ** 2).sum()),
-        face_distances=distances, face_areas=areas, aniso=float(aniso),
+        face_distances=3.0 * volume / areas, face_areas=areas, aniso=float(aniso),
         aniso_opposite=float(aniso_opp))
 
 
 def global_metrics(mesh):
-    """Mesh-wide size and anisotropy metrics.
-
-    ``consistency_ratio`` is the largest per-element value of
-    diameter^2 / (smallest vertex-to-opposite-face distance), the quantity
-    that controls the classical nonconformity bound and blows up on the
-    anisotropic family even while the solver keeps converging.
-    """
+    """Mesh size h and the largest all-pairs anisotropy measure, the two
+    mesh quantities a ``converge`` row reports; a degenerate tet raises."""
     if mesh.n_tets == 0:
         raise ValueError("empty mesh")
 
     def block(s):
-        _, _, diameters, _, distances, aniso, _ = _tet_metrics(mesh.tet_vertices(s))
-        return diameters, aniso, diameters ** 2 / distances.min(axis=1)
+        _, _, diameters, aniso, _ = _tet_metrics(mesh.tet_vertices(s))
+        return diameters, aniso
 
-    diameters, aniso, ratio = per_block(mesh.n_tets, block)
-    return MeshMetrics(h=float(diameters.max()), aniso_max=float(aniso.max()),
-                       consistency_ratio=float(ratio.max()))
+    diameters, aniso = per_block(mesh.n_tets, block)
+    return MeshMetrics(h=float(diameters.max()), aniso_max=float(aniso.max()))

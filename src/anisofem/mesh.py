@@ -44,15 +44,14 @@ class FaceTable:
     tet order.  The two sides of a face are named by flat slots ``4 t + i``
     (local face i of tet t): ``sides[f, 0]`` is the lower slot and
     ``sides[f, 1]`` is -1 on the boundary, so ``sides // 4`` gives the
-    incident tets.  ``normals[f]`` is the unit normal pointing out of the
-    first side; this fixed choice is the global orientation used for
-    Raviart-Thomas flux degrees of freedom.
+    incident tets.  The table is pure topology: a face's global orientation,
+    used for the Raviart-Thomas flux degrees of freedom, is the outward
+    normal of its first side, which ``tet_face_signs`` marks with +1.
     """
 
     vertices: np.ndarray   # (nf, 3) sorted vertex triples
     sides: np.ndarray      # (nf, 2) flat slots 4 t + i, second entry -1 on the boundary
     boundary: np.ndarray   # (nf,) bool
-    normals: np.ndarray    # (nf, 3) unit normals, outward from the first side
     tet_faces: np.ndarray  # (nt, 4) global face index of local face i (opposite vertex i)
     tet_face_signs: np.ndarray  # (nt, 4) +1 on the first side of each face, else -1
 
@@ -171,15 +170,12 @@ def build_face_table(mesh):
     sides[:, 0] = order[start]
     sides[interior, 1] = order[start[interior] + 1]
 
-    normals = per_block(nt, lambda s: face_geometry(mesh.tet_vertices(s))[1])
-    normals = normals.reshape(-1, 3)[sides[:, 0]]
     signs = np.full(4 * nt, -1.0)
     signs[sides[:, 0]] = 1.0
     table = FaceTable(
         vertices=ranked[start],
         sides=sides,
         boundary=~interior,
-        normals=normals,
         tet_faces=tet_faces.reshape(nt, 4),
         tet_face_signs=signs.reshape(nt, 4),
     )
@@ -189,15 +185,17 @@ def build_face_table(mesh):
 
 
 def face_traces(mesh, a, b):
-    """Face means of sigma . n, with the global normals, for the per-tet affine
-    fields sigma = a x - b (a (nt,), b (nt, 3)), taken at the face centroids:
+    """Face means of sigma . n for the per-tet affine fields sigma = a x - b
+    (a (nt,), b (nt, 3)), taken at the face centroids, with n the global
+    normal: each tet's outward normal times its ``tet_face_signs``.  Returns
     the value seen from the first side of each face, shape (nf,), and the
     largest disagreement between the two sides of an interior face."""
     faces = mesh.faces
 
     def block(s):
-        sigma = affine_field(a[s], b[s], face_geometry(mesh.tet_vertices(s))[2])
-        return np.einsum("tid,tid->ti", sigma, faces.normals[faces.tet_faces[s]])
+        _, normals, centroids = face_geometry(mesh.tet_vertices(s))
+        sigma = affine_field(a[s], b[s], centroids)
+        return np.einsum("tid,tid->ti", sigma, normals) * faces.tet_face_signs[s]
 
     trace = per_block(mesh.n_tets, block).ravel()
     inner = faces.sides[~faces.boundary]
@@ -214,12 +212,12 @@ class ConformityReport:
     messages: list = field(default_factory=list)
 
 
-def validate_conformity(mesh, volume=1.0, tol=1e-12):
+def validate_conformity(mesh):
     """Diagnostic pass over mesh invariants; never raises.
 
     Checks that signed volumes are positive, that tet volumes sum to the
-    domain volume, and that every face is shared by two tets or lies on the
-    boundary of the unit cube.
+    volume 1 of the unit cube within 1e-12, and that every face is shared by
+    two tets or lies on the boundary of the cube.
     """
     messages = []
     signed = signed_volumes(mesh.tet_vertices())
@@ -228,8 +226,8 @@ def validate_conformity(mesh, volume=1.0, tol=1e-12):
         messages.append(f"{(signed <= 0).sum()} tets with non-positive volume")
 
     volume_sum = float(np.abs(signed).sum())
-    if abs(volume_sum - volume) > tol:
-        messages.append(f"volume sum {volume_sum!r} differs from {volume}")
+    if abs(volume_sum - 1.0) > 1e-12:
+        messages.append(f"volume sum {volume_sum!r} differs from 1.0")
 
     try:
         faces = mesh.faces
@@ -256,11 +254,11 @@ def validate_conformity(mesh, volume=1.0, tol=1e-12):
                             messages)
 
 
-def write_vtk(mesh, path, title="anisofem mesh"):
+def write_vtk(mesh, path):
     """Dump the mesh as legacy ASCII VTK (unstructured grid, cell type 10)."""
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"{title}\n")
+        f.write("anisofem mesh\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_vertices} double\n")

@@ -6,9 +6,9 @@ Assembly is vectorised over blocks of elements.  Dirichlet constraints use
 symmetric elimination: constrained rows and columns are zeroed in place and a
 unit diagonal is left, which keeps the P1/CR matrices symmetric positive
 definite.  The mixed system is the symmetric indefinite block matrix
-[[A, B^T], [B, 0]] over flux and cell unknowns; flux DOFs follow the fixed
-face normals of the mesh face table, so normal continuity holds by
-construction.
+[[A, B^T], [B, 0]] over flux and cell unknowns; flux DOFs take their
+orientation from the face table's ``tet_face_signs``, so normal continuity
+holds by construction.
 
 The P1/CR assemblers take the data f as a callable, integrated against each
 basis function by the degree-5 rule, or as an array of its cell means, which
@@ -99,7 +99,7 @@ class Field:
         """RT0 vector values at barycentric points, (nt, nq, 3)."""
         v = self.mesh.tet_vertices(tets)
         a, b = self._flux_affine(v, tets)
-        return affine_field(a, b, np.einsum("qi,tid->tqd", np.asarray(bary), v))
+        return affine_field(a, b, np.asarray(bary) @ v)
 
     def flux_divergence(self):
         """Constant per-element divergence of an rt0 field, (nt,)."""
@@ -223,10 +223,11 @@ def assemble_cr(mesh, f, constrain=True):
 
 
 def rt0_mass_matrix(mesh):
-    """Mass matrix of the global RT0 basis (signed by the fixed face normals).
+    """Mass matrix of the global RT0 basis (signed by ``tet_face_signs``).
 
     Entries come from the degree-2 rule; the integrands are quadratic, so the
-    values are exact.
+    values are exact.  Part of the mixed-system oracle, so it keeps its own
+    mapping of the rule's points.
     """
     faces = mesh.faces
     v = mesh.tet_vertices()

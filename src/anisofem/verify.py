@@ -158,8 +158,8 @@ def _flux_jump_deviation(mesh, field, flip_rt_signs=False):
     return worst / max(float(np.abs(field.coeffs).max()), 1e-300)
 
 
-def _duality_deviation(mesh, rng, samples=50, flip_rt_signs=False):
-    """max |(v, grad_h psi) + (div v, psi)| over random discrete field pairs.
+def _duality_deviation(mesh, rng, flip_rt_signs=False):
+    """max |(v, grad_h psi) + (div v, psi)| over 50 random discrete field pairs.
 
     Each inner product is evaluated elementwise in closed form (the RT0 field
     is affine, the CR gradient constant), so the identity holds to rounding
@@ -174,7 +174,7 @@ def _duality_deviation(mesh, rng, samples=50, flip_rt_signs=False):
     signs = np.abs(faces.tet_face_signs) if flip_rt_signs else faces.tet_face_signs
 
     totals = []
-    for _ in range(samples):
+    for _ in range(50):
         flux = rng.uniform(-1.0, 1.0, faces.n_faces)
         psi = rng.uniform(-1.0, 1.0, faces.n_faces)
         psi[faces.boundary] = 0.0

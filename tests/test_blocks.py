@@ -24,7 +24,6 @@ def _passes():
         "gradients": geometry.barycentric_gradients(mesh),
         "metrics": dataclasses.astuple(af.global_metrics(mesh)),
         "face_geometry": geometry.local_face_geometry(mesh),
-        "normals": faces.normals,
         "face_traces": face_traces(mesh, rng.uniform(-1.0, 1.0, mesh.n_tets),
                                    rng.uniform(-1.0, 1.0, (mesh.n_tets, 3))),
         "p0_project": fbar,

@@ -153,6 +153,9 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
     # 8:64 has 20480 tets, so every per-element pass runs over several blocks
     ("converge_p1_exact-f_gamma2.csv", ["--element", "p1", "--gamma", "2.0",
                                         "--pairs", "4:16,8:64"]),
+    # the flattest tets, through the enriched CR solve and the RT0 rebuild
+    ("converge_rt_gamma2.csv", ["--element", "rt", "--gamma", "2.0",
+                                "--pairs", "4:16,8:64"]),
 ])
 def test_converge_matches_reference_bytes(capsys, name, argv):
     code, out, _ = run(capsys, ["converge", *argv])

@@ -148,27 +148,58 @@ def test_single_tet_face_table():
     table = af.build_face_table(mesh)
     assert table.n_faces == 4
     assert table.boundary.all()
-    assert np.allclose(np.linalg.norm(table.normals, axis=1), 1.0, atol=1e-14)
+    # every face of a lone tet is oriented by its own outward normal
+    assert (table.tet_face_signs == 1.0).all()
 
 
 def test_interior_normals_oppose():
     mesh = af.generate_aniso_cube(2, 2)
     table = mesh.faces
     centroids = mesh.tet_vertices().mean(axis=1)
-    # outward normals recomputed independently per tet and local face
+    # the global normal of a face is each side's outward normal times its sign
     _, outward, _ = af.geometry.local_face_geometry(mesh)
+    oriented = outward * table.tet_face_signs[:, :, None]
     for f in np.nonzero(~table.boundary)[0]:
-        t0, t1 = table.sides[f] // 4
-        point = mesh.vertices[table.vertices[f][0]]
-        n = table.normals[f]
+        (t0, i0), (t1, i1) = divmod(table.sides[f, 0], 4), divmod(table.sides[f, 1], 4)
+        assert table.tet_faces[t0, i0] == table.tet_faces[t1, i1] == f
+        assert table.tet_face_signs[t0, i0] == 1.0
+        assert table.tet_face_signs[t1, i1] == -1.0
+        n0, n1 = oriented[t0, i0], oriented[t1, i1]
+        assert np.abs(n0 - n1).max() < 1e-12
         # outward from t0, inward to t1
-        assert np.dot(n, centroids[t0] - point) < 0
-        assert np.dot(n, centroids[t1] - point) > 0
-        assert table.tet_face_signs[t0][table.tet_faces[t0] == f] == 1.0
-        assert table.tet_face_signs[t1][table.tet_faces[t1] == f] == -1.0
-        n0 = outward[t0, table.tet_faces[t0] == f][0]
-        n1 = outward[t1, table.tet_faces[t1] == f][0]
-        assert abs(np.dot(n0, n1) + 1.0) < 1e-12
+        point = mesh.vertices[table.vertices[f][0]]
+        assert np.dot(n0, centroids[t0] - point) < 0
+        assert np.dot(n0, centroids[t1] - point) > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_face_traces_against_direct_evaluation():
+    mesh = af.generate_aniso_cube(4, 8)
+    faces = mesh.faces
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1.0, 1.0, mesh.n_tets)
+    b = rng.uniform(-1.0, 1.0, (mesh.n_tets, 3))
+    flux, gap = face_traces(mesh, a, b)
+
+    # each face's corners, centroid and a unit normal pointing out of its
+    # first-side tet, taken from the face triple alone
+    p = mesh.vertices[faces.vertices]
+    centroid = p.mean(axis=1)
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    t0, i0 = np.divmod(faces.sides[:, 0], 4)
+    apex = mesh.vertices[mesh.tets[t0, i0]]
+    n[np.einsum("fd,fd->f", n, apex - p[:, 0]) > 0] *= -1.0
+
+    def trace(t, f=slice(None)):
+        return np.einsum("fd,fd->f", a[t, None] * centroid[f] - b[t], n[f])
+
+    expected = trace(t0)
+    np.testing.assert_allclose(flux, expected, rtol=1e-13,
+                               atol=1e-13 * np.abs(expected).max())
+    inner = ~faces.boundary
+    worst = np.abs(expected[inner] - trace(faces.sides[inner, 1] // 4, inner)).max()
+    assert worst > 0.1 and abs(gap - worst) <= 1e-13 * worst
 
 
 def test_deterministic_rebuild():
