@@ -3,7 +3,8 @@ studies, the flat-tet interpolation demo and the identity suite.
 
 Exit codes: 0 success, 1 numerical failure (solver breakdown, a ValueError
 raised from numerics, a non-finite value in a row or a failed identity), 2
-configuration error, rejected before any output.
+configuration error or a study too large for the available memory, rejected
+before any output.
 """
 
 import argparse
@@ -26,6 +27,11 @@ DEFAULT_PAIRS = {
 DEFAULT_DEMO_N = [128, 256, 512, 1024, 2048, 4096]
 
 CONVERGE_HEADER = "M,N,h,H_nominal,H_computed,dofs,err_h1,r_h1,err_l2,r_l2"
+
+# Peak resident memory of a converge row per tet, the slope of the peak RSS
+# between N = 128 and N = 256 at M = 16 (N = 64 and 128 for rt), rounded up
+ROW_BYTES_PER_TET = {"p1": 750, "cr": 650, "rt": 700}
+MEMINFO = "/proc/meminfo"
 
 
 class ConfigError(Exception):
@@ -73,6 +79,29 @@ def _open_out(args):
         raise ConfigError(f"cannot open --out: {exc}") from None
 
 
+def _available_memory():
+    """MemAvailable in bytes, or None where ``MEMINFO`` cannot be read."""
+    try:
+        with open(MEMINFO) as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(element, pairs):
+    """Refuse a study whose largest row would need more than the available
+    memory, by the measured bytes per tet; no check where none is known."""
+    available = _available_memory()
+    m, n = max(pairs, key=lambda p: p[0] * p[0] * p[1])
+    need = ROW_BYTES_PER_TET[element] * 5 * m * m * n  # 5 M^2 N tets
+    if available is not None and need > available:
+        raise ConfigError(f"row {m}:{n} needs about {need / 2**20:.0f} MiB, "
+                          f"{available / 2**20:.0f} MiB available")
+
+
 def cmd_converge(args):
     pairs = select_pairs(args.gamma, args.pairs, args.large)
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -83,6 +112,7 @@ def cmd_converge(args):
         h_nominal = [(1.0 / m) ** (2.0 - args.gamma) for m, _ in pairs]
     except OverflowError:
         raise ConfigError(f"--gamma {args.gamma!r} overflows (1/M)^(2-gamma)") from None
+    _check_memory(args.element, pairs)
     case = analysis.cube_polynomial_case()
     assemble = system.assemble_p1 if args.element == "p1" else system.assemble_cr
     with _open_out(args) as out:

@@ -2,10 +2,14 @@
 discretisations of the homogeneous-Dirichlet Poisson problem, with iterative
 solvers.
 
-Assembly is vectorised over blocks of elements.  Dirichlet constraints use
-symmetric elimination: constrained rows and columns are zeroed in place and a
-unit diagonal is left, which keeps the P1/CR matrices symmetric positive
-definite.  The mixed system is the symmetric indefinite block matrix
+Assembly is vectorised over blocks of elements.  The P1 matrix, whose entries
+sum the local matrices of many tets, comes from one COO scatter.  The CR
+matrix is built from the face table with no scatter: a face row holds the
+local rows of its two tets, at most 7 distinct entries, written straight
+into an (nf, 8) table that is a CSR matrix as it stands.  Dirichlet
+constraints use symmetric elimination: constrained rows and columns are
+zeroed and a unit diagonal is left, which keeps the P1/CR matrices symmetric
+positive definite.  The mixed system is the symmetric indefinite block matrix
 [[A, B^T], [B, 0]] over flux and cell unknowns; flux DOFs take their
 orientation from the face table's ``tet_face_signs``, so normal continuity
 holds by construction.
@@ -114,8 +118,9 @@ class Field:
 
 
 def _scatter_square(local, dofs, ndof):
-    rows = np.repeat(dofs, 4, axis=1).ravel()
-    cols = np.tile(dofs, (1, 4)).ravel()
+    idx = dofs.astype(np.int32 if ndof < 2**31 else np.int64)
+    rows = np.repeat(idx, 4, axis=1).ravel()
+    cols = np.tile(idx, (1, 4)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)),
                          shape=(ndof, ndof)).tocsr()
 
@@ -125,7 +130,8 @@ def _apply_constraints(matrix, rhs, constrained):
     with 1 on their diagonal, and their right-hand sides."""
     if not constrained.any():
         return matrix, rhs
-    rows = np.repeat(np.arange(len(rhs)), np.diff(matrix.indptr))
+    rows = np.repeat(np.arange(len(rhs), dtype=matrix.indices.dtype),
+                     np.diff(matrix.indptr))
     unit = constrained[rows]
     matrix.data[unit | constrained[matrix.indices]] = 0.0
     matrix.data[unit & (rows == matrix.indices)] = 1.0
@@ -134,24 +140,16 @@ def _apply_constraints(matrix, rhs, constrained):
     return matrix.copy(), np.where(constrained, 0.0, rhs)
 
 
-def _assemble_primal(kind, mesh, f, constrain):
-    """P1 (vertex DOFs) or CR (face DOFs) system.
+def _local_kernel(kind, mesh, f):
+    """Block kernel s -> (local stiffness (nb, 4, 4), loads (nb, 4)) of the
+    tets s.
 
     The CR basis is ``elements.cr_shape``.  Every basis function has element
-    integral |T|/4, so cell means f_T give the load |T| f_T / 4 per DOF.  The
-    local matrices and loads are filled block by block and scattered once.
+    integral |T|/4, so cell means f_T give the load |T| f_T / 4 per DOF.
     """
     if not callable(f) and np.shape(f) != (mesh.n_tets,):
         raise ValueError(f"cell means of f need shape ({mesh.n_tets},), "
                          f"got {np.shape(f)}")
-    faces = mesh.faces
-    if kind == "p1":
-        dofs, ndof = mesh.tets, mesh.n_vertices
-        constrained = np.zeros(ndof, dtype=bool)
-        constrained[np.unique(faces.vertices[faces.boundary])] = True
-    else:
-        dofs, ndof = faces.tet_faces, faces.n_faces
-        constrained = faces.boundary.copy()
     rule = tet_rule_degree5()
     basis = rule.points if kind == "p1" else cr_shape(rule.points)
 
@@ -170,13 +168,51 @@ def _assemble_primal(kind, mesh, f, constrain):
                               4, axis=1)
         return local, loads
 
-    local, loads = per_block(mesh.n_tets, block)
-    matrix = _scatter_square(local, dofs, ndof)
-    rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=ndof)
-    if constrain:
-        matrix, rhs = _apply_constraints(matrix, rhs, constrained)
-    columns = _face_columns(mesh) if kind == "cr" else None
-    return SparseSystem(matrix, rhs, kind, mesh, constrained, columns=columns)
+    return block
+
+
+def _cr_matrix(mesh, f, constrained):
+    """The CR stiffness matrix as CSR and the load vector, with the
+    symmetric elimination of the faces ``constrained`` unless it is None.
+
+    A tet whose local face i is face f puts row i of its local matrix into
+    row f of an (nf, 8) table: the first side in slots 0-3, the second in
+    slots 4-7, which stay empty (column nf) on the boundary.  So blocks
+    write their local matrices straight in, and the table is already a CSR
+    matrix.  Sorting its rows sums the diagonal, the one entry with two
+    contributions, as a + b = b + a: the bits a COO scatter gives.
+    """
+    faces = mesh.faces
+    nf = faces.n_faces
+    cols = np.full((nf, 8), nf, dtype=np.int32 if 8 * nf < 2**31 else np.int64)
+    table = np.zeros((nf, 8))
+    kernel = _local_kernel("cr", mesh, f)
+
+    def block(s):
+        local, loads = kernel(s)
+        tet_faces = faces.tet_faces[s]
+        if constrained is not None:
+            cut = constrained[tet_faces]
+            local[cut[:, :, None] | cut[:, None, :]] = 0.0
+        half = 2 * tet_faces + (faces.tet_face_signs[s] < 0)
+        table.reshape(2 * nf, 4)[half] = local
+        cols.reshape(2 * nf, 4)[half] = tet_faces[:, None, :]
+        return loads
+
+    rhs = np.bincount(faces.tet_faces.ravel(), minlength=nf,
+                      weights=per_block(mesh.n_tets, block).ravel())
+    if constrained is not None:
+        unit = np.flatnonzero(constrained)
+        table[unit, faces.sides[unit, 0] & 3] = 1.0  # first side's diagonal
+        rhs[unit] = 0.0
+    matrix = sp.csr_matrix(
+        (table.ravel(), cols.ravel(), np.arange(0, 8 * nf + 1, 8, dtype=cols.dtype)),
+        shape=(nf, nf + 1))
+    matrix.sum_duplicates()
+    if constrained is not None:
+        matrix.eliminate_zeros()
+    # dropping column nf, the empty slots, also compacts the arrays
+    return matrix[:, :nf], rhs
 
 
 def _face_columns(mesh):
@@ -206,9 +242,20 @@ def assemble_p1(mesh, f, constrain=True):
 
     The stiffness integrands are constant, hence exact.  A callable f gives
     the load as the degree-5 quadrature of f phi_i; an (nt,) array of cell
-    means f_T gives f_T times int phi_i = |T|/4.
+    means f_T gives f_T times int phi_i = |T|/4.  A vertex entry sums the
+    local matrices of all its tets, scattered once through COO.
     """
-    return _assemble_primal("p1", mesh, f, constrain)
+    kernel = _local_kernel("p1", mesh, f)
+    faces = mesh.faces
+    constrained = np.zeros(mesh.n_vertices, dtype=bool)
+    constrained[np.unique(faces.vertices[faces.boundary])] = True
+    local, loads = per_block(mesh.n_tets, kernel)
+    matrix = _scatter_square(local, mesh.tets, mesh.n_vertices)
+    rhs = np.bincount(mesh.tets.ravel(), weights=loads.ravel(),
+                      minlength=mesh.n_vertices)
+    if constrain:
+        matrix, rhs = _apply_constraints(matrix, rhs, constrained)
+    return SparseSystem(matrix, rhs, "p1", mesh, constrained)
 
 
 def assemble_cr(mesh, f, constrain=True):
@@ -218,8 +265,15 @@ def assemble_cr(mesh, f, constrain=True):
     coordinates, and int_F theta_i = |F| delta_iF, so constraining boundary
     faces to zero enforces vanishing boundary face means.  f is a callable
     or an (nt,) array of cell means, as in ``assemble_p1``.
+
+    The matrix is built row by row from the face table (``_cr_matrix``),
+    with no COO scatter: a row has at most 7 entries, and its CSR has the
+    same arrays, bit for bit, as the scatter with symmetric elimination.
     """
-    return _assemble_primal("cr", mesh, f, constrain)
+    constrained = mesh.faces.boundary.copy()
+    matrix, rhs = _cr_matrix(mesh, f, constrained if constrain else None)
+    return SparseSystem(matrix, rhs, "cr", mesh, constrained,
+                        columns=_face_columns(mesh))
 
 
 def rt0_mass_matrix(mesh):
@@ -316,19 +370,22 @@ def _column_band(matrix, columns):
     """
     order, label = columns
     n = matrix.shape[0]
-    rank = np.empty(n, dtype=matrix.indices.dtype)
-    rank[order] = np.arange(n)
+    itype = matrix.indices.dtype
+    rank = np.empty(n, dtype=itype)
+    rank[order] = np.arange(n, dtype=itype)
+    # a column's faces hold consecutive ranks, so a_ij lies in face i's
+    # column when 0 <= rank[j] - rank[i] < room[i], the ranks left in it
+    room = (np.searchsorted(label[order], label, side="right") - rank).astype(itype)
     per_row = np.diff(matrix.indptr)
-    rows = np.repeat(rank, per_row)
-    cols = rank[matrix.indices]
-    keep = rows <= cols
-    keep &= np.repeat(label, per_row) == label[matrix.indices]
-    kept = np.flatnonzero(keep)
-    rows, cols = rows[kept], cols[kept]
-    offsets = cols - rows
+    offsets = rank[matrix.indices]
+    offsets -= np.repeat(rank, per_row)
+    keep = offsets >= 0
+    keep &= offsets < np.repeat(room, per_row)
+    offsets = offsets[keep]
+    cols = rank[matrix.indices[keep]]
     width = int(offsets.max())
     band = np.zeros((width + 1, n), order="F")  # factored in place
-    band[width - offsets, cols] = matrix.data[kept]
+    band[width - offsets, cols] = matrix.data[keep]
     factor = (cholesky_banded(band, overwrite_ab=True, check_finite=False),
               False)
 

@@ -144,6 +144,36 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
         assert existing.read_text() == "kept\n", argv
 
 
+def test_converge_refuses_a_row_beyond_available_memory(capsys, monkeypatch,
+                                                        tmp_path):
+    # the estimate is the measured bytes per tet times the tets of the
+    # largest row, here 4:4 with 320 tets; availability is patched, so the
+    # check is tested without allocating anything
+    need = cli.ROW_BYTES_PER_TET["cr"] * 320
+    existing = tmp_path / "existing.csv"
+    existing.write_text("kept\n")
+    argv = ["converge", "--element", "cr", "--pairs", "4:4,2:2"]
+    monkeypatch.setattr(cli, "_available_memory", lambda: need - 1)
+    code, out, err = run(capsys, argv + ["--out", str(existing)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: row 4:4 needs about")
+    assert existing.read_text() == "kept\n"
+    for available in (need, None):  # enough, or unknown: no check
+        monkeypatch.setattr(cli, "_available_memory", lambda: available)
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_available_memory_reads_meminfo(monkeypatch, tmp_path):
+    meminfo = tmp_path / "meminfo"
+    monkeypatch.setattr(cli, "MEMINFO", str(meminfo))
+    assert cli._available_memory() is None  # unreadable
+    meminfo.write_text("MemTotal:        8000 kB\n")
+    assert cli._available_memory() is None  # no MemAvailable line
+    meminfo.write_text("MemTotal:        8000 kB\nMemAvailable:    1024 kB\n")
+    assert cli._available_memory() == 1024 * 1024
+
+
 @pytest.mark.parametrize("name,argv", [
     ("converge_p1_exact-f.csv", ["--element", "p1", "--pairs", "2:2,4:8"]),
     ("converge_p1_projected-f.csv", ["--element", "p1", "--rhs", "projected-f",

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import anisofem as af
+from anisofem.elements import cr_gradients, cr_shape
+from anisofem.geometry import signed_volumes, tet_gradients
 from anisofem.mesh import LOCAL_FACES, Mesh
+from anisofem.quadrature import sample
 
 from conftest import CASE
 
@@ -68,6 +73,73 @@ def test_constraints_in_place_match_product_form(assemble):
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(system.matrix, attr), getattr(oracle, attr)), attr
     assert np.array_equal(system.rhs, np.where(system.constrained, 0.0, free.rhs))
+
+
+def coo_cr_oracle(mesh, f, constrain):
+    """The CR system through a COO scatter of all local matrices, summed by
+    ``tocsr``, with the constraints in product form."""
+    faces = mesh.faces
+    v = mesh.tet_vertices()
+    grads = cr_gradients(tet_gradients(v))
+    vols = np.abs(signed_volumes(v))
+    local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
+    if callable(f):
+        rule = af.tet_rule_degree5()
+        loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights,
+                                          cr_shape(rule.points),
+                                          sample(rule, v, f)[0])
+    else:
+        loads = np.repeat((vols * f / 4.0)[:, None], 4, axis=1)
+    dofs, nf = faces.tet_faces, faces.n_faces
+    matrix = sp.coo_matrix((local.ravel(), (np.repeat(dofs, 4, axis=1).ravel(),
+                                            np.tile(dofs, (1, 4)).ravel())),
+                           shape=(nf, nf)).tocsr()
+    rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=nf)
+    if constrain:
+        keep = sp.diags((~faces.boundary).astype(float))
+        matrix = (keep @ matrix @ keep + sp.diags(faces.boundary.astype(float))).tocsr()
+        rhs = np.where(faces.boundary, 0.0, rhs)
+    return matrix, rhs
+
+
+def assert_same_bits(a, b, name):
+    assert a.dtype == b.dtype, name
+    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("mesh, data, constrain", [
+    ("4:8", "f", True),
+    ("jittered", "f", True),
+    ("4:8", "means", True),
+    ("jittered", "means", False),
+    ("4:8", "f", False),
+])
+def test_cr_assembly_matches_coo_oracle(mesh, data, constrain):
+    # the row-table assembly must give the CSR arrays of the scatter bit for
+    # bit: only the diagonal sums two local entries, and a + b = b + a
+    mesh = jittered_cube(4, 4) if mesh == "jittered" else af.generate_aniso_cube(4, 8)
+    data = af.p0_project(mesh.tet_vertices(), CASE.f) if data == "means" else CASE.f
+    system = af.assemble_cr(mesh, data, constrain=constrain)
+    matrix, rhs = coo_cr_oracle(mesh, data, constrain)
+    for attr in ("indptr", "indices", "data"):
+        assert_same_bits(getattr(system.matrix, attr), getattr(matrix, attr), attr)
+    assert_same_bits(system.rhs, rhs, "rhs")
+
+
+def test_cr_assembly_memory_budget():
+    # the row table needs no (nt, 4, 4) local array and no COO index arrays;
+    # the scatter it replaced peaked at 747 bytes a tet here
+    mesh = af.generate_aniso_cube(8, 64)
+    mesh.faces
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        af.assemble_cr(mesh, CASE.f)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / mesh.n_tets <= 520
 
 
 def test_cell_mean_data():
