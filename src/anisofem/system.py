@@ -158,14 +158,15 @@ def _local_kernel(kind, mesh, f):
         grads = tet_gradients(v)
         if kind == "cr":
             grads = cr_gradients(grads)
-        vols = np.abs(signed_volumes(v))
-        local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
         if callable(f):
+            values, vols = sample(rule, v, f)  # vols = |signed_volumes(v)|
             loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights, basis,
-                                              sample(rule, v, f)[0])
+                                              values)
         else:
+            vols = np.abs(signed_volumes(v))
             loads = np.repeat((vols * np.asarray(f[s], dtype=float) / 4.0)[:, None],
                               4, axis=1)
+        local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
         return local, loads
 
     return block
