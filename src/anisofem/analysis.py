@@ -28,12 +28,11 @@ _RULE5 = tet_rule_degree5()
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Exact solution u, its gradient, the right-hand side f = -Laplace(u),
-    and the two normalisation constants used when reporting errors."""
+    and the constant the reported errors are divided by."""
 
     u: callable
     grad_u: callable
     f: callable
-    laplacian_l2: float   # || Laplace u ||_L2
     hess_diag_l2: float   # || (u_xx, u_yy, u_zz) ||_L2, the table normaliser
 
 
@@ -45,8 +44,7 @@ def cube_polynomial_case():
     """u = x(1-x) y(1-y) z(1-z) on the unit cube with homogeneous data.
 
     The benchmark tables normalise errors by the L2 norm of the vector of
-    pure second derivatives (u_xx, u_yy, u_zz), which is sqrt(1/75); the L2
-    norm of the full Laplacian is sqrt(8/225).
+    pure second derivatives (u_xx, u_yy, u_zz), which is sqrt(1/75).
     """
     u = lambda x, y, z: _p(x) * _p(y) * _p(z)
     grad_u = lambda x, y, z: np.stack([
@@ -55,24 +53,8 @@ def cube_polynomial_case():
         _p(x) * _p(y) * (1.0 - 2.0 * z),
     ], axis=-1)
     f = lambda x, y, z: 2.0 * (_p(y) * _p(z) + _p(x) * _p(z) + _p(x) * _p(y))
-    return ManufacturedCase(
-        u=u, grad_u=grad_u, f=f,
-        laplacian_l2=normalization_delta_u(),
-        hess_diag_l2=math.sqrt(Fraction(1, 75)),
-    )
-
-
-def normalization_delta_u():
-    """|| Laplace u || for the cube polynomial case, by rational integration.
-
-    With p(t) = t - t^2 the 1D moments are int p = 1/6 and int p^2 = 1/30;
-    f = 2(p(y)p(z) + p(x)p(z) + p(x)p(y)) then gives
-    int f^2 = 4 (3 I2^2 + 6 I1^2 I2) = 8/225.
-    """
-    i1 = Fraction(1, 2) - Fraction(1, 3)
-    i2 = Fraction(1, 3) - Fraction(1, 2) + Fraction(1, 5)
-    f_sq = 4 * (3 * i2 ** 2 + 6 * i1 ** 2 * i2)
-    return math.sqrt(f_sq)
+    return ManufacturedCase(u=u, grad_u=grad_u, f=f,
+                            hess_diag_l2=math.sqrt(Fraction(1, 75)))
 
 
 def l2_error(mesh, field, u_exact, rule=None):

@@ -33,11 +33,6 @@ class BarycentricMap:
         points = np.atleast_2d(points)
         return points @ self._coef[..., :3, :] + self._coef[..., 3, None, :]
 
-    @property
-    def gradients(self):
-        """Constant gradients of the barycentric coordinates, (..., 4, 3)."""
-        return np.swapaxes(self._coef[..., :3, :], -1, -2)
-
 
 def cr_shape(bary):
     """Crouzeix-Raviart basis theta_i = 1 - 3 lambda_i at barycentric

@@ -36,11 +36,6 @@ class TetGeometry:
 
     volume: float
     diameter: float                # longest edge
-    edge_lengths: np.ndarray       # (6,) ordered as EDGE_VERTICES
-    barycentre: np.ndarray         # (3,)
-    spread: float                  # sum_i |x_i - barycentre|^2
-    face_distances: np.ndarray     # (4,) vertex i to the plane of the opposite face
-    face_areas: np.ndarray         # (4,)
     aniso: float                   # h^2/|T| * min over all distinct edge pairs
     aniso_opposite: float          # h^2/|T| * min over opposite edge pairs
 
@@ -185,9 +180,8 @@ def local_face_geometry(mesh):
 
 def _tet_metrics(verts):
     """The one per-tet pass behind ``tet_geometry`` and ``global_metrics``,
-    over a stack (..., 4, 3): volumes, edge lengths, diameters and the
-    (all-pairs, opposite-pairs) anisotropy measures h^2/|T| * min of edge
-    products.
+    over a stack (..., 4, 3): volumes, diameters and the (all-pairs,
+    opposite-pairs) anisotropy measures h^2/|T| * min of edge products.
 
     Rejects degenerate tets before any division: flat-but-valid anisotropic
     elements are the object of study, and clamping would hide generator bugs.
@@ -200,20 +194,15 @@ def _tet_metrics(verts):
     aniso = [scale * np.min(np.stack([lengths[..., i] * lengths[..., j]
                                       for i, j in pairs], axis=-1), axis=-1)
              for pairs in (_ALL_EDGE_PAIRS, _OPPOSITE_EDGE_PAIRS)]
-    return (volumes, lengths, diameters, *aniso)
+    return (volumes, diameters, *aniso)
 
 
 def tet_geometry(mesh, tet_index):
-    """All geometric quantities of tet ``tet_index``; a degenerate one raises."""
-    verts = mesh.tet_vertices(tet_index)
-    volume, lengths, diameter, aniso, aniso_opp = _tet_metrics(verts)
-    areas = face_geometry(verts)[0]
-    barycentre = verts.mean(axis=0)
-    return TetGeometry(
-        volume=float(volume), diameter=float(diameter), edge_lengths=lengths,
-        barycentre=barycentre, spread=float(((verts - barycentre) ** 2).sum()),
-        face_distances=3.0 * volume / areas, face_areas=areas, aniso=float(aniso),
-        aniso_opposite=float(aniso_opp))
+    """Volume, diameter and both anisotropy measures of tet ``tet_index``;
+    a degenerate one raises."""
+    volume, diameter, aniso, aniso_opp = _tet_metrics(mesh.tet_vertices(tet_index))
+    return TetGeometry(volume=float(volume), diameter=float(diameter),
+                       aniso=float(aniso), aniso_opposite=float(aniso_opp))
 
 
 def global_metrics(mesh):
@@ -223,7 +212,7 @@ def global_metrics(mesh):
         raise ValueError("empty mesh")
 
     def block(s):
-        _, _, diameters, aniso, _ = _tet_metrics(mesh.tet_vertices(s))
+        _, diameters, aniso, _ = _tet_metrics(mesh.tet_vertices(s))
         return diameters, aniso
 
     diameters, aniso = per_block(mesh.n_tets, block)

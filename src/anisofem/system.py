@@ -7,12 +7,13 @@ sum the local matrices of many tets, comes from one COO scatter.  The CR
 matrix is built from the face table with no scatter: a face row holds the
 local rows of its two tets, at most 7 distinct entries, written straight
 into an (nf, 8) table that is a CSR matrix as it stands.  Dirichlet
-constraints use symmetric elimination: constrained rows and columns are
-zeroed and a unit diagonal is left, which keeps the P1/CR matrices symmetric
-positive definite.  The mixed system is the symmetric indefinite block matrix
-[[A, B^T], [B, 0]] over flux and cell unknowns; flux DOFs take their
-orientation from the face table's ``tet_face_signs``, so normal continuity
-holds by construction.
+constraints use symmetric elimination, once, in the block kernel shared by
+both: it zeroes the constrained rows and columns of every local matrix, and
+the assembler puts a unit diagonal on the constrained rows, which keeps the
+P1/CR matrices symmetric positive definite.  The mixed system is the
+symmetric indefinite block matrix [[A, B^T], [B, 0]] over flux and cell
+unknowns; flux DOFs take their orientation from the face table's
+``tet_face_signs``, so normal continuity holds by construction.
 
 The P1/CR assemblers take the data f as a callable, integrated against each
 basis function by the degree-5 rule, or as an array of its cell means, which
@@ -125,24 +126,10 @@ def _scatter_square(local, dofs, ndof):
                          shape=(ndof, ndof)).tocsr()
 
 
-def _apply_constraints(matrix, rhs, constrained):
-    """Zero the constrained rows and columns of the CSR ``matrix`` in place,
-    with 1 on their diagonal, and their right-hand sides."""
-    if not constrained.any():
-        return matrix, rhs
-    rows = np.repeat(np.arange(len(rhs), dtype=matrix.indices.dtype),
-                     np.diff(matrix.indptr))
-    unit = constrained[rows]
-    matrix.data[unit | constrained[matrix.indices]] = 0.0
-    matrix.data[unit & (rows == matrix.indices)] = 1.0
-    matrix.eliminate_zeros()
-    # a copy, so the matrix does not hold on to the 16 nt slots of the scatter
-    return matrix.copy(), np.where(constrained, 0.0, rhs)
-
-
-def _local_kernel(kind, mesh, f):
+def _local_kernel(kind, mesh, f, constrained):
     """Block kernel s -> (local stiffness (nb, 4, 4), loads (nb, 4)) of the
-    tets s.
+    tets s, with the symmetric elimination of the DOFs ``constrained``: a
+    local row or column of a constrained DOF is zero.
 
     The CR basis is ``elements.cr_shape``.  Every basis function has element
     integral |T|/4, so cell means f_T give the load |T| f_T / 4 per DOF.
@@ -152,6 +139,7 @@ def _local_kernel(kind, mesh, f):
                          f"got {np.shape(f)}")
     rule = tet_rule_degree5()
     basis = rule.points if kind == "p1" else cr_shape(rule.points)
+    dofs = mesh.tets if kind == "p1" else mesh.faces.tet_faces
 
     def block(s):
         v = mesh.tet_vertices(s)
@@ -167,6 +155,8 @@ def _local_kernel(kind, mesh, f):
             loads = np.repeat((vols * np.asarray(f[s], dtype=float) / 4.0)[:, None],
                               4, axis=1)
         local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
+        cut = constrained[dofs[s]]
+        local[cut[:, :, None] | cut[:, None, :]] = 0.0
         return local, loads
 
     return block
@@ -174,7 +164,7 @@ def _local_kernel(kind, mesh, f):
 
 def _cr_matrix(mesh, f, constrained):
     """The CR stiffness matrix as CSR and the load vector, with the
-    symmetric elimination of the faces ``constrained`` unless it is None.
+    symmetric elimination of the faces ``constrained``.
 
     A tet whose local face i is face f puts row i of its local matrix into
     row f of an (nf, 8) table: the first side in slots 0-3, the second in
@@ -187,14 +177,11 @@ def _cr_matrix(mesh, f, constrained):
     nf = faces.n_faces
     cols = np.full((nf, 8), nf, dtype=np.int32 if 8 * nf < 2**31 else np.int64)
     table = np.zeros((nf, 8))
-    kernel = _local_kernel("cr", mesh, f)
+    kernel = _local_kernel("cr", mesh, f, constrained)
 
     def block(s):
         local, loads = kernel(s)
         tet_faces = faces.tet_faces[s]
-        if constrained is not None:
-            cut = constrained[tet_faces]
-            local[cut[:, :, None] | cut[:, None, :]] = 0.0
         half = 2 * tet_faces + (faces.tet_face_signs[s] < 0)
         table.reshape(2 * nf, 4)[half] = local
         cols.reshape(2 * nf, 4)[half] = tet_faces[:, None, :]
@@ -202,16 +189,14 @@ def _cr_matrix(mesh, f, constrained):
 
     rhs = np.bincount(faces.tet_faces.ravel(), minlength=nf,
                       weights=per_block(mesh.n_tets, block).ravel())
-    if constrained is not None:
-        unit = np.flatnonzero(constrained)
-        table[unit, faces.sides[unit, 0] & 3] = 1.0  # first side's diagonal
-        rhs[unit] = 0.0
+    unit = np.flatnonzero(constrained)
+    table[unit, faces.sides[unit, 0] & 3] = 1.0  # first side's diagonal
+    rhs[unit] = 0.0
     matrix = sp.csr_matrix(
         (table.ravel(), cols.ravel(), np.arange(0, 8 * nf + 1, 8, dtype=cols.dtype)),
         shape=(nf, nf + 1))
     matrix.sum_duplicates()
-    if constrained is not None:
-        matrix.eliminate_zeros()
+    matrix.eliminate_zeros()
     # dropping column nf, the empty slots, also compacts the arrays
     return matrix[:, :nf], rhs
 
@@ -238,28 +223,32 @@ def _face_columns(mesh):
     return order, label
 
 
-def assemble_p1(mesh, f, constrain=True):
+def assemble_p1(mesh, f):
     """P1-Lagrange stiffness system for -Laplace u = f, u = 0 on the boundary.
 
     The stiffness integrands are constant, hence exact.  A callable f gives
     the load as the degree-5 quadrature of f phi_i; an (nt,) array of cell
     means f_T gives f_T times int phi_i = |T|/4.  A vertex entry sums the
-    local matrices of all its tets, scattered once through COO.
+    local matrices of all its tets, scattered once through COO; the local
+    matrices arrive with their boundary rows and columns zeroed, so a
+    boundary row holds only zeros until its unit diagonal is added.
     """
-    kernel = _local_kernel("p1", mesh, f)
     faces = mesh.faces
     constrained = np.zeros(mesh.n_vertices, dtype=bool)
     constrained[np.unique(faces.vertices[faces.boundary])] = True
-    local, loads = per_block(mesh.n_tets, kernel)
+    local, loads = per_block(mesh.n_tets,
+                             _local_kernel("p1", mesh, f, constrained))
     matrix = _scatter_square(local, mesh.tets, mesh.n_vertices)
+    # before the sum, which sizes its arrays by the entries stored here
+    matrix.eliminate_zeros()
+    matrix = matrix + sp.diags(constrained.astype(float))
     rhs = np.bincount(mesh.tets.ravel(), weights=loads.ravel(),
                       minlength=mesh.n_vertices)
-    if constrain:
-        matrix, rhs = _apply_constraints(matrix, rhs, constrained)
+    rhs[constrained] = 0.0
     return SparseSystem(matrix, rhs, "p1", mesh, constrained)
 
 
-def assemble_cr(mesh, f, constrain=True):
+def assemble_cr(mesh, f):
     """Crouzeix-Raviart system: one DOF per face, boundary faces constrained.
 
     theta_i has the same element integral |T|/4 as the barycentric
@@ -272,7 +261,7 @@ def assemble_cr(mesh, f, constrain=True):
     same arrays, bit for bit, as the scatter with symmetric elimination.
     """
     constrained = mesh.faces.boundary.copy()
-    matrix, rhs = _cr_matrix(mesh, f, constrained if constrain else None)
+    matrix, rhs = _cr_matrix(mesh, f, constrained)
     return SparseSystem(matrix, rhs, "cr", mesh, constrained,
                         columns=_face_columns(mesh))
 

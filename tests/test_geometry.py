@@ -38,30 +38,34 @@ def test_regular_tet():
     # edge length 1, volume sqrt(2)/12
     v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / (2 * math.sqrt(2))
     g = af.tet_geometry(tet_mesh(v), 0)
-    assert np.allclose(g.edge_lengths, 1.0, atol=1e-14)
+    assert abs(g.diameter - 1.0) < 1e-14
     assert abs(g.volume - math.sqrt(2) / 12) < 1e-15
     assert abs(g.aniso - 6 * math.sqrt(2)) < 1e-12
-    assert abs(g.spread - 1.5) < 1e-13  # 4 * (3/8)
 
 
 def test_spread_equals_opposite_midpoint_distances():
     rng = np.random.default_rng(7)
     for _ in range(50):
         v = random_tet(rng)
-        g = af.tet_geometry(tet_mesh(v), 0)
+        spread = af.bubble_spread(v)
         mids = {(i, j): (v[i] + v[j]) / 2 for i in range(4) for j in range(4) if i < j}
         alt = (np.sum((mids[(0, 3)] - mids[(1, 2)]) ** 2)
                + np.sum((mids[(0, 2)] - mids[(1, 3)]) ** 2)
                + np.sum((mids[(0, 1)] - mids[(2, 3)]) ** 2))
-        assert abs(g.spread - alt) < 1e-13 * g.spread
+        assert abs(spread - alt) < 1e-13 * spread
 
 
 def test_face_distance_volume_identity():
+    # vertex i lies inside face i's outward normal, at a distance that times
+    # the face area is 3|T|
     rng = np.random.default_rng(8)
     for _ in range(50):
-        g = af.tet_geometry(tet_mesh(random_tet(rng)), 0)
-        for dist, area in zip(g.face_distances, g.face_areas):
-            assert abs(dist * area - 3 * g.volume) < 1e-13 * 3 * g.volume
+        v = random_tet(rng)
+        areas, normals, centroids = af.geometry.face_geometry(v)
+        dist = -np.einsum("id,id->i", v - centroids, normals)
+        volume = af.geometry.tet_volumes(v)
+        assert dist.min() > 0
+        assert np.abs(dist * areas - 3 * volume).max() < 1e-13 * 3 * volume
 
 
 def test_aniso_rigid_motion_invariance_and_scaling():
@@ -143,12 +147,14 @@ def test_per_tet_and_mesh_geometry_agree():
         v = mesh.tet_vertices(t)
         g = af.tet_geometry(mesh, t)
         assert np.allclose(g.volume, vols[t], rtol=1e-13, atol=0)
-        assert np.allclose(g.face_areas, areas[t], rtol=1e-13, atol=0)
         own_areas, own_normals, _ = af.geometry.face_geometry(v)
         assert np.allclose(own_areas, areas[t], rtol=1e-13, atol=0)
         assert np.allclose(own_normals, normals[t], rtol=1e-13, atol=1e-15)
-        assert np.allclose(af.BarycentricMap(v).gradients, grads[t],
-                           rtol=1e-13, atol=1e-13 * np.abs(grads[t]).max())
+        # the map's coordinates change by grad lambda . step along a step
+        step = np.array([0.3, -0.2, 0.5])
+        moved = af.BarycentricMap(v).coords(v + step) - np.eye(4)
+        assert np.allclose(moved, np.tile(grads[t] @ step, (4, 1)),
+                           rtol=1e-12, atol=1e-12 * np.abs(grads[t]).max())
 
 
 def _inverse_oracle(verts):

@@ -38,11 +38,18 @@ def test_p1_dimensions_published_row():
 
 
 def test_unconstrained_stiffness_annihilates_constants():
-    mesh = af.generate_aniso_cube(2, 2)
-    for assemble in (af.assemble_p1, af.assemble_cr):
-        system = assemble(mesh, CASE.f, constrain=False)
-        ones = np.ones(system.matrix.shape[0])
-        assert np.abs(system.matrix @ ones).max() < 1e-13
+    # the stiffness of a constant is zero, and the elimination leaves the rows
+    # whose columns are all unconstrained, those of DOFs with no constrained
+    # DOF on any of their tets, as they are
+    mesh = af.generate_aniso_cube(4, 8)
+    for assemble, dofs in ((af.assemble_p1, mesh.tets),
+                           (af.assemble_cr, mesh.faces.tet_faces)):
+        system = assemble(mesh, CASE.f)
+        near = np.zeros(system.matrix.shape[0], dtype=bool)
+        near[dofs[system.constrained[dofs].any(axis=1)]] = True
+        assert (~near).any()
+        sums = system.matrix @ np.ones(system.matrix.shape[0])
+        assert np.abs(sums[~near]).max() < 1e-13 * np.abs(system.matrix.data).max()
 
 
 def test_cr_dimensions_published_row():
@@ -60,46 +67,36 @@ def test_assembled_matrices_exactly_symmetric():
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
-@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
-def test_constraints_in_place_match_product_form(assemble):
-    # oracle: diag(free) A diag(free) + diag(constrained) on the unconstrained
-    # matrix, the symmetric elimination as a sparse product
-    mesh = af.generate_aniso_cube(4, 8)
-    free = assemble(mesh, CASE.f, constrain=False)
-    system = assemble(mesh, CASE.f)
-    keep = sp.diags((~system.constrained).astype(float))
-    oracle = (keep @ free.matrix @ keep
-              + sp.diags(system.constrained.astype(float))).tocsr()
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(system.matrix, attr), getattr(oracle, attr)), attr
-    assert np.array_equal(system.rhs, np.where(system.constrained, 0.0, free.rhs))
-
-
-def coo_cr_oracle(mesh, f, constrain):
-    """The CR system through a COO scatter of all local matrices, summed by
-    ``tocsr``, with the constraints in product form."""
+def coo_oracle(element, mesh, f):
+    """The P1 or CR system through a COO scatter of all local matrices, summed
+    by ``tocsr``, with the symmetric elimination in product form,
+    diag(free) A diag(free) + diag(constrained), and the mask it used."""
     faces = mesh.faces
     v = mesh.tet_vertices()
-    grads = cr_gradients(tet_gradients(v))
+    grads = tet_gradients(v)
+    rule = af.tet_rule_degree5()
+    basis = rule.points
+    if element == "cr":
+        grads, basis = cr_gradients(grads), cr_shape(rule.points)
+        dofs, constrained = faces.tet_faces, faces.boundary
+    else:
+        dofs = mesh.tets
+        constrained = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
     vols = np.abs(signed_volumes(v))
     local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
     if callable(f):
-        rule = af.tet_rule_degree5()
-        loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights,
-                                          cr_shape(rule.points),
+        loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights, basis,
                                           sample(rule, v, f)[0])
     else:
         loads = np.repeat((vols * f / 4.0)[:, None], 4, axis=1)
-    dofs, nf = faces.tet_faces, faces.n_faces
+    n = len(constrained)
     matrix = sp.coo_matrix((local.ravel(), (np.repeat(dofs, 4, axis=1).ravel(),
                                             np.tile(dofs, (1, 4)).ravel())),
-                           shape=(nf, nf)).tocsr()
-    rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=nf)
-    if constrain:
-        keep = sp.diags((~faces.boundary).astype(float))
-        matrix = (keep @ matrix @ keep + sp.diags(faces.boundary.astype(float))).tocsr()
-        rhs = np.where(faces.boundary, 0.0, rhs)
-    return matrix, rhs
+                           shape=(n, n)).tocsr()
+    rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=n)
+    keep = sp.diags((~constrained).astype(float))
+    matrix = (keep @ matrix @ keep + sp.diags(constrained.astype(float))).tocsr()
+    return matrix, np.where(constrained, 0.0, rhs), constrained
 
 
 def assert_same_bits(a, b, name):
@@ -107,23 +104,34 @@ def assert_same_bits(a, b, name):
     assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
-@pytest.mark.parametrize("mesh, data, constrain", [
-    ("4:8", "f", True),
-    ("jittered", "f", True),
-    ("4:8", "means", True),
-    ("jittered", "means", False),
-    ("4:8", "f", False),
-])
-def test_cr_assembly_matches_coo_oracle(mesh, data, constrain):
-    # the row-table assembly must give the CSR arrays of the scatter bit for
-    # bit: only the diagonal sums two local entries, and a + b = b + a
+@pytest.mark.parametrize("data", ["f", "means"])
+@pytest.mark.parametrize("mesh", ["4:8", "jittered"])
+@pytest.mark.parametrize("element", ["p1", "cr"])
+def test_assembly_matches_coo_oracle(element, mesh, data):
+    # both assemblers zero the constrained rows and columns of each local
+    # matrix, so they must give the CSR arrays of the scatter with the
+    # elimination applied afterwards, bit for bit: CR sums only the diagonal
+    # from two local entries, and a + b = b + a
     mesh = jittered_cube(4, 4) if mesh == "jittered" else af.generate_aniso_cube(4, 8)
     data = af.p0_project(mesh.tet_vertices(), CASE.f) if data == "means" else CASE.f
-    system = af.assemble_cr(mesh, data, constrain=constrain)
-    matrix, rhs = coo_cr_oracle(mesh, data, constrain)
+    assemble = af.assemble_p1 if element == "p1" else af.assemble_cr
+    system = assemble(mesh, data)
+    matrix, rhs, constrained = coo_oracle(element, mesh, data)
+    assert np.array_equal(system.constrained, constrained)
     for attr in ("indptr", "indices", "data"):
         assert_same_bits(getattr(system.matrix, attr), getattr(matrix, attr), attr)
     assert_same_bits(system.rhs, rhs, "rhs")
+
+
+@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
+def test_matrix_arrays_hold_no_slack(assemble):
+    # the eliminated entries leave no unused room behind the CSR arrays; at
+    # 8:16 a P1 sum sized by the scatter's entries, zeros included, would
+    # keep it (smaller meshes copy it away)
+    mesh = af.generate_aniso_cube(8, 16)
+    matrix = assemble(mesh, np.ones(mesh.n_tets)).matrix
+    for array in (matrix.indptr, matrix.indices, matrix.data):
+        assert array.base is None or array.base.nbytes == array.nbytes
 
 
 def test_cr_assembly_memory_budget():
