@@ -7,9 +7,10 @@ import scipy.sparse.linalg as spla
 
 import anisofem as af
 from anisofem.elements import cr_gradients, cr_shape
-from anisofem.geometry import signed_volumes, tet_gradients
+from anisofem.geometry import per_block, signed_volumes, tet_gradients
 from anisofem.mesh import LOCAL_FACES, Mesh
 from anisofem.quadrature import sample
+from anisofem.system import _cr_matrix, _local_kernel, _scatter_square
 
 from conftest import CASE
 
@@ -67,10 +68,9 @@ def test_assembled_matrices_exactly_symmetric():
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
-def coo_oracle(element, mesh, f):
-    """The P1 or CR system through a COO scatter of all local matrices, summed
-    by ``tocsr``, with the symmetric elimination in product form,
-    diag(free) A diag(free) + diag(constrained), and the mask it used."""
+def coo_scatter(element, mesh, f):
+    """The P1 or CR matrix and load through a COO scatter of all local
+    matrices, summed by ``tocsr``, and the mask of the boundary DOFs."""
     faces = mesh.faces
     v = mesh.tet_vertices()
     grads = tet_gradients(v)
@@ -94,14 +94,52 @@ def coo_oracle(element, mesh, f):
                                             np.tile(dofs, (1, 4)).ravel())),
                            shape=(n, n)).tocsr()
     rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=n)
+    return matrix, rhs, constrained
+
+
+def product_form(matrix, rhs, constrained):
+    """The symmetric elimination as a sparse product,
+    diag(free) A diag(free) + diag(constrained), and the zeroed load."""
     keep = sp.diags((~constrained).astype(float))
     matrix = (keep @ matrix @ keep + sp.diags(constrained.astype(float))).tocsr()
-    return matrix, np.where(constrained, 0.0, rhs), constrained
+    return matrix, np.where(constrained, 0.0, rhs)
+
+
+def unconstrained(element, mesh, f):
+    """The library's own matrix and load with no DOF constrained: its block
+    kernel and CSR builders given an all-false mask."""
+    if element == "cr":
+        return _cr_matrix(mesh, f, np.zeros(mesh.faces.n_faces, dtype=bool))
+    none = np.zeros(mesh.n_vertices, dtype=bool)
+    local, loads = per_block(mesh.n_tets, _local_kernel("p1", mesh, f, none))
+    rhs = np.bincount(mesh.tets.ravel(), weights=loads.ravel(),
+                      minlength=mesh.n_vertices)
+    return _scatter_square(local, mesh.tets, mesh.n_vertices), rhs
+
+
+def oracle_case(mesh, data):
+    mesh = jittered_cube(4, 4) if mesh == "jittered" else af.generate_aniso_cube(4, 8)
+    data = af.p0_project(mesh.tet_vertices(), CASE.f) if data == "means" else CASE.f
+    return mesh, data
 
 
 def assert_same_bits(a, b, name):
     assert a.dtype == b.dtype, name
     assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
+def test_constraints_in_place_match_product_form(assemble):
+    # oracle: diag(free) A diag(free) + diag(constrained) on the matrix the
+    # same kernel gives with no DOF constrained, the symmetric elimination
+    # as a sparse product
+    mesh = af.generate_aniso_cube(4, 8)
+    system = assemble(mesh, CASE.f)
+    oracle, rhs = product_form(*unconstrained(system.kind, mesh, CASE.f),
+                               system.constrained)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(system.matrix, attr), getattr(oracle, attr)), attr
+    assert np.array_equal(system.rhs, rhs)
 
 
 @pytest.mark.parametrize("data", ["f", "means"])
@@ -112,15 +150,40 @@ def test_assembly_matches_coo_oracle(element, mesh, data):
     # matrix, so they must give the CSR arrays of the scatter with the
     # elimination applied afterwards, bit for bit: CR sums only the diagonal
     # from two local entries, and a + b = b + a
-    mesh = jittered_cube(4, 4) if mesh == "jittered" else af.generate_aniso_cube(4, 8)
-    data = af.p0_project(mesh.tet_vertices(), CASE.f) if data == "means" else CASE.f
+    mesh, data = oracle_case(mesh, data)
     assemble = af.assemble_p1 if element == "p1" else af.assemble_cr
     system = assemble(mesh, data)
-    matrix, rhs, constrained = coo_oracle(element, mesh, data)
+    matrix, rhs, constrained = coo_scatter(element, mesh, data)
     assert np.array_equal(system.constrained, constrained)
+    matrix, rhs = product_form(matrix, rhs, constrained)
     for attr in ("indptr", "indices", "data"):
         assert_same_bits(getattr(system.matrix, attr), getattr(matrix, attr), attr)
     assert_same_bits(system.rhs, rhs, "rhs")
+
+
+@pytest.mark.parametrize("mesh, data, constrain", [
+    ("4:8", "f", True),
+    ("4:8", "f", False),
+])
+def test_cr_assembly_matches_coo_oracle(mesh, data, constrain):
+    # the CR row table against the scatter for masks assemble_cr never
+    # passes: none at all, and the boundary with every third face added, so
+    # that interior faces, with a local row on each side, are eliminated too;
+    # the table drops the exact zeros of the local matrices, as the product
+    # form does
+    mesh, data = oracle_case(mesh, data)
+    matrix, rhs, boundary = coo_scatter("cr", mesh, data)
+    mask = np.zeros_like(boundary)
+    if constrain:
+        mask = boundary | (np.arange(len(boundary)) % 3 == 0)
+        assert (mask & ~boundary).any()
+        matrix, rhs = product_form(matrix, rhs, mask)
+    else:
+        matrix.eliminate_zeros()
+    table_matrix, table_rhs = _cr_matrix(mesh, data, mask)
+    for attr in ("indptr", "indices", "data"):
+        assert_same_bits(getattr(table_matrix, attr), getattr(matrix, attr), attr)
+    assert_same_bits(table_rhs, rhs, "rhs")
 
 
 @pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
