@@ -30,7 +30,7 @@ print("volume sum:", report.volume_sum)
 print("face incidence:", report.incidence_histogram)
 
 # the two element shapes of a box: a corner tet and the central one
-corner, central = af.tet_geometry(mesh, 1), af.tet_geometry(mesh, 0)
+corner, central = (af.tet_geometry(mesh.tet_vertices(t)) for t in (1, 0))
 print(f"\ncorner tet : volume {corner.volume:.3e}  diameter {corner.diameter:.3e}"
       f"  aniso {corner.aniso:.3e}")
 print(f"central tet: volume {central.volume:.3e}  diameter {central.diameter:.3e}"

@@ -10,14 +10,11 @@ squeezing out the last digits.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .elements import cr_gradients, cr_interpolate_pointwise
-from .geometry import (barycentric_gradients, element_volumes, per_block,
-                       tet_geometry)
-from .mesh import Mesh
+from .geometry import element_volumes, per_block, tet_geometry, tet_gradients
 from .quadrature import (mean, sample, tet_rule_degree2, tet_rule_degree5,
                          tri_rule_midpoint3)
 from .system import Field
@@ -54,7 +51,7 @@ def cube_polynomial_case():
     ], axis=-1)
     f = lambda x, y, z: 2.0 * (_p(y) * _p(z) + _p(x) * _p(z) + _p(x) * _p(y))
     return ManufacturedCase(u=u, grad_u=grad_u, f=f,
-                            hess_diag_l2=math.sqrt(Fraction(1, 75)))
+                            hess_diag_l2=math.sqrt(1 / 75))
 
 
 def l2_error(mesh, field, u_exact, rule=None):
@@ -153,10 +150,9 @@ def sliver_interp_row(n, gamma=1.5):
     opposite-edge-pair anisotropy measure, matching the same table.
     """
     verts = sliver_tet(n, gamma)
-    mesh = Mesh(verts.copy(), np.array([[0, 1, 2, 3]]))
-    aniso = tet_geometry(mesh, 0).aniso_opposite
+    aniso = tet_geometry(verts).aniso_opposite
     coeffs = cr_interpolate_pointwise(verts, lambda x, y, z: x ** 2 + y ** 2 + z ** 2)
-    grad_interp = coeffs @ cr_gradients(barycentric_gradients(mesh)[0])
+    grad_interp = coeffs @ cr_gradients(tet_gradients(verts))
 
     grad_err_sq = ((2.0 * verts - grad_interp) ** 2).sum(axis=1).mean()
     hess_sq = 12.0  # phi has pure second derivatives (2, 2, 2)

@@ -1,10 +1,10 @@
 """Experiment runner: argument parsing and CSV output for the convergence
 studies, the flat-tet interpolation demo and the identity suite.
 
-Exit codes: 0 success, 1 numerical failure (solver breakdown, a ValueError
-raised from numerics, a non-finite value in a row or a failed identity), 2
-configuration error or a study too large for the available memory, rejected
-before any output.
+Exit codes: 0 success, 1 numerical failure (solver breakdown, an overflow,
+invalid value or ValueError raised from numerics, a non-finite value in a
+row or a failed identity), 2 configuration error or a study too large for
+the available memory, rejected before any output.
 """
 
 import argparse
@@ -12,6 +12,8 @@ import contextlib
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import analysis, elements, equivalence, geometry, system
 from .mesh import generate_aniso_cube, write_vtk
@@ -45,9 +47,9 @@ def _parse_pairs(text):
             m, n = (int(s) for s in chunk.strip().split(":"))
         except ValueError:
             raise ConfigError(f"bad mesh pair {chunk!r}, expected M:N") from None
-        if m <= 0 or n <= 0 or m % 2:
+        if m <= 0 or n <= 0 or m % 2 or max(m, n) > sys.float_info.max:
             raise ConfigError(f"bad mesh pair {chunk!r}: M must be positive and "
-                              f"even, N positive")
+                              f"even, N positive, both within float range")
         pairs.append((m, n))
     return pairs
 
@@ -96,7 +98,7 @@ def _check_memory(element, pairs):
     memory, by the measured bytes per tet; no check where none is known."""
     available = _available_memory()
     m, n = max(pairs, key=lambda p: p[0] * p[0] * p[1])
-    need = ROW_BYTES_PER_TET[element] * 5 * m * m * n  # 5 M^2 N tets
+    need = ROW_BYTES_PER_TET[element] * 5.0 * m * m * n  # 5 M^2 N tets, inf if huge
     if available is not None and need > available:
         raise ConfigError(f"row {m}:{n} needs about {need / 2**20:.0f} MiB, "
                           f"{available / 2**20:.0f} MiB available")
@@ -155,8 +157,8 @@ def cmd_interp_demo(args):
             else [int(s) for s in args.n_values.split(",")]
     except ValueError:
         raise ConfigError(f"bad demo N values {args.n_values!r}") from None
-    if any(n <= 0 for n in ns):
-        raise ConfigError("demo N values must be positive")
+    if any(n <= 0 for n in ns) or max(ns) > sys.float_info.max:
+        raise ConfigError("demo N values must be positive and within float range")
     with _open_out(args) as out:
         out.write("N,h,H_T,err,r\n")
         prev = None
@@ -233,11 +235,13 @@ def main(argv=None):
     try:
         if not math.isfinite(getattr(args, "gamma", 0.0)):
             raise ConfigError(f"--gamma must be finite, got {args.gamma!r}")
-        return args.func(args)
+        # an overflow or invalid value fails where it happens, not further on
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (system.SolverError, ValueError) as exc:
+    except (system.SolverError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

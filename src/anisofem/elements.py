@@ -5,33 +5,19 @@ interpolant, on one tet (4, 3) or a stack of tets (..., 4, 3).
 
 Each local element is written once.  The CR basis theta_i = 1 - 3 lambda_i is
 ``cr_shape`` and its gradient ``cr_gradients``; the assembler, ``Field``, the
-sliver demo and the identity suite call them.  An RT0 field
-sum_i c_i psi_i with psi_i = |F_i|/(3|T|) (x - x_i) is the affine
-sigma = a x - b of ``geometry.rt0_affine``; there is no per-tet basis object.
+sliver demo and the identity suite call them.  An RT0 field sum_i c_i psi_i,
+psi_i = |F_i|/(3|T|) (x - x_i), is the affine sigma = a x - b of
+``geometry.rt0_affine``; lambda is ``geometry.barycentric_coords``.
 """
 
 import numpy as np
 
-from .geometry import (LOCAL_FACES, affine_field, barycentric_coefficients,
-                       face_geometry, per_block, rt0_affine, tet_volumes)
+from .geometry import (LOCAL_FACES, affine_field, barycentric_coords,
+                       face_geometry, per_block, rt0_affine)
 from .quadrature import mean, tet_rule_degree5, tri_rule_midpoint3
 
 _TRI_RULE = tri_rule_midpoint3()
 _TET_RULE5 = tet_rule_degree5()
-
-
-class BarycentricMap:
-    """Affine map from points to barycentric coordinates of one tet (4, 3) or
-    of a stack of tets (..., 4, 3); a degenerate tet raises ValueError."""
-
-    def __init__(self, vertices):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self._coef = barycentric_coefficients(self.vertices)
-
-    def coords(self, points):
-        """Barycentric coordinates, (..., n, 4) for points of shape (..., n, 3)."""
-        points = np.atleast_2d(points)
-        return points @ self._coef[..., :3, :] + self._coef[..., 3, None, :]
 
 
 def cr_shape(bary):
@@ -77,7 +63,6 @@ def rt_interpolate(vertices, v):
     """Raviart-Thomas coefficients (..., 4): the face means of ``v`` (as in
     ``cr_interpolate``) dotted with the outward face normals."""
     vertices = np.asarray(vertices, dtype=float)
-    tet_volumes(vertices)  # outward normals need a tet with volume
     return np.einsum("...id,...id->...i", cr_interpolate(vertices, v),
                      face_geometry(vertices)[1])
 
@@ -85,7 +70,7 @@ def rt_interpolate(vertices, v):
 def cr_eval(vertices, coeffs, points):
     """Local CR functions with face coefficients (..., 4) at points
     (..., n, 3), shape (..., n)."""
-    shape = cr_shape(BarycentricMap(vertices).coords(points))
+    shape = cr_shape(barycentric_coords(vertices, points))
     return np.einsum("...ni,...i->...n", shape, np.asarray(coeffs))
 
 

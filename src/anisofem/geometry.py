@@ -1,10 +1,15 @@
-"""Per-element geometry: volumes, edge data, barycentric gradients, face
-geometry, the RT0 local field and the edge-pair anisotropy measure.
+"""Per-element geometry: measures, barycentric gradients and coordinates,
+face geometry, the RT0 local field and the edge-pair anisotropy measure.
 
 Each per-element formula is written once, over stacks of vertex arrays of
 shape (..., 4, 3); per-tet code passes a single (4, 3) array, and the
 mesh-level functions apply it to ``mesh.tet_vertices(block)`` for one block of
 tets at a time through ``per_block``.
+
+Every per-simplex decision is made here: ``simplex_measure`` is the one
+formula for |T| and |F|, and one private check refuses a simplex whose
+measure is (nearly) zero or NaN, before anything divides by it.  Flat but
+valid tets are the object of study; clamping would hide generator bugs.
 
 The anisotropy measure of a tet is h^2/|T| times a minimum of products of two
 edge lengths.  Two variants are provided: ``aniso`` minimises over all 15
@@ -25,9 +30,7 @@ LOCAL_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 # three opposite (vertex-disjoint) pairs
 EDGE_VERTICES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 _OPPOSITE_EDGE_PAIRS = ((0, 5), (1, 4), (2, 3))
-_ALL_EDGE_PAIRS = tuple(
-    (i, j) for i in range(6) for j in range(i + 1, 6)
-)
+_ALL_EDGE_PAIRS = tuple((i, j) for i in range(6) for j in range(i + 1, 6))
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,30 @@ def signed_volumes(verts):
                      d[..., 2, :]) / 6.0
 
 
-def _reject_degenerate(volumes):
-    if np.any(volumes <= 1e-300):
-        raise ValueError("degenerate tet: zero volume")
-    return volumes
+def simplex_measure(vertices):
+    """Volumes of tets (..., 4, 3) or areas of triangles (..., 3, 3) embedded
+    in R^3, with the stack shape (a scalar for one simplex)."""
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.shape[-2:] == (4, 3):
+        return np.abs(signed_volumes(vertices))
+    if vertices.shape[-2:] == (3, 3):
+        d = vertices[..., 1:, :] - vertices[..., :1, :]
+        return 0.5 * np.linalg.norm(cross(d[..., 0, :], d[..., 1, :]), axis=-1)
+    raise ValueError(f"expected (..., 4, 3) or (..., 3, 3) vertex array, "
+                     f"got {vertices.shape}")
+
+
+def _refuse_degenerate(measures, what):
+    # the one rule for which simplices are degenerate; NaN compares False
+    if not np.min(measures, initial=np.inf) > 1e-300:
+        raise ValueError(f"degenerate {what}: zero or NaN measure")
+    return measures
+
+
+def checked_measure(vertices):
+    """``simplex_measure``, refusing a degenerate simplex."""
+    what = "tet" if np.shape(vertices)[-2:] == (4, 3) else "triangle"
+    return _refuse_degenerate(simplex_measure(vertices), what)
 
 
 def tet_gradients(verts):
@@ -92,48 +115,40 @@ def tet_gradients(verts):
     d1, d2, d3 = (verts[..., j, :] - verts[..., 0, :] for j in (1, 2, 3))
     g = np.stack([cross(d2, d3), cross(d3, d1), cross(d1, d2)], axis=-2)
     det = np.einsum("...j,...j->...", g[..., 2, :], d3)
-    _reject_degenerate(np.abs(det) / 6.0)
+    _refuse_degenerate(np.abs(det) / 6.0, "tet")
     g /= det[..., None, None]
     return np.concatenate([-g.sum(axis=-2, keepdims=True), g], axis=-2)
 
 
-def barycentric_coefficients(verts):
-    """Affine coefficients of the barycentric coordinates, shape (..., 4, 4).
-
-    Column i holds (gx, gy, gz, c) of lambda_i(x) = g . x + c: g from
-    ``tet_gradients``, c from lambda_i(x_0) = delta_i0.  A degenerate tet
-    raises ValueError.
-    """
+def barycentric_coords(verts, points):
+    """Barycentric coordinates (..., n, 4) of points (..., n, 3) in the tets
+    ``verts`` (..., 4, 3): lambda_i(x) = g_i . x + c_i, with g_i from
+    ``tet_gradients`` and c_i from lambda_i(x_0) = delta_i0.  A degenerate
+    tet raises ValueError."""
+    verts = np.asarray(verts, dtype=float)
     g = tet_gradients(verts)
     c = -np.einsum("...id,...d->...i", g, verts[..., 0, :])
     c[..., 0] += 1.0
-    return np.concatenate([np.swapaxes(g, -1, -2), c[..., None, :]], axis=-2)
+    return np.atleast_2d(points) @ np.swapaxes(g, -1, -2) + c[..., None, :]
 
 
 def face_geometry(verts):
     """Areas, outward unit normals and centroids of the 4 faces of each tet.
 
     Returns (areas, normals, centroids) with shapes (..., 4), (..., 4, 3) and
-    (..., 4, 3); face i is opposite vertex i.  A face whose area is not
-    positive (a flat face, or one whose cross product underflows on an
-    extreme sliver) raises ValueError before anything divides by it.
+    (..., 4, 3); face i is opposite vertex i.  A degenerate face (flat, or
+    one whose cross product underflows on an extreme sliver) or a tet with no
+    volume to point out of raises ValueError before anything divides by it.
     """
-    a, b, c = (verts[..., LOCAL_FACES[:, j], :] for j in range(3))
-    n = cross(b - a, c - a)
-    areas = 0.5 * np.linalg.norm(n, axis=-1)
-    if not areas.min(initial=np.inf) > 0:
-        raise ValueError("degenerate face: zero area")
-    normals = n / (2.0 * areas[..., None])
+    tris = verts[..., LOCAL_FACES, :]
+    areas = _refuse_degenerate(simplex_measure(tris), "face")
+    checked_measure(verts)
+    a, b, c = (tris[..., j, :] for j in range(3))
+    normals = cross(b - a, c - a) / (2.0 * areas[..., None])
     inward = np.einsum("...j,...j->...", normals,
                        verts.mean(axis=-2, keepdims=True) - a) > 0
     normals[inward] *= -1.0
     return areas, normals, (a + b + c) / 3.0
-
-
-def tet_volumes(verts):
-    """|T| of each tet of a stack (..., 4, 3); a degenerate tet (volume at
-    most 1e-300) raises ValueError before anything divides by its volume."""
-    return _reject_degenerate(np.abs(signed_volumes(verts)))
 
 
 def rt0_scales(areas, volumes):
@@ -151,8 +166,7 @@ def rt0_affine(verts, coeffs):
     and b (..., 3).  A degenerate tet raises ValueError.
     """
     verts = np.asarray(verts, dtype=float)
-    volumes = tet_volumes(verts)
-    c = coeffs * rt0_scales(face_geometry(verts)[0], volumes)
+    c = coeffs * rt0_scales(face_geometry(verts)[0], simplex_measure(verts))
     return c.sum(axis=-1), np.einsum("...i,...id->...d", c, verts)
 
 
@@ -164,8 +178,7 @@ def affine_field(a, b, points):
 
 def element_volumes(mesh):
     """Volumes of all tets, shape (nt,)."""
-    return per_block(mesh.n_tets,
-                     lambda s: np.abs(signed_volumes(mesh.tet_vertices(s))))
+    return per_block(mesh.n_tets, lambda s: simplex_measure(mesh.tet_vertices(s)))
 
 
 def barycentric_gradients(mesh):
@@ -181,12 +194,9 @@ def local_face_geometry(mesh):
 def _tet_metrics(verts):
     """The one per-tet pass behind ``tet_geometry`` and ``global_metrics``,
     over a stack (..., 4, 3): volumes, diameters and the (all-pairs,
-    opposite-pairs) anisotropy measures h^2/|T| * min of edge products.
-
-    Rejects degenerate tets before any division: flat-but-valid anisotropic
-    elements are the object of study, and clamping would hide generator bugs.
-    """
-    volumes = tet_volumes(verts)
+    opposite-pairs) anisotropy measures h^2/|T| * min of edge products; a
+    degenerate tet raises."""
+    volumes = checked_measure(verts)
     lengths = np.linalg.norm(verts[..., EDGE_VERTICES[:, 0], :]
                              - verts[..., EDGE_VERTICES[:, 1], :], axis=-1)
     diameters = lengths.max(axis=-1)
@@ -197,10 +207,10 @@ def _tet_metrics(verts):
     return (volumes, diameters, *aniso)
 
 
-def tet_geometry(mesh, tet_index):
-    """Volume, diameter and both anisotropy measures of tet ``tet_index``;
-    a degenerate one raises."""
-    volume, diameter, aniso, aniso_opp = _tet_metrics(mesh.tet_vertices(tet_index))
+def tet_geometry(verts):
+    """Volume, diameter and both anisotropy measures of one tet (4, 3); a
+    degenerate one raises."""
+    volume, diameter, aniso, aniso_opp = _tet_metrics(np.asarray(verts, dtype=float))
     return TetGeometry(volume=float(volume), diameter=float(diameter),
                        aniso=float(aniso), aniso_opposite=float(aniso_opp))
 

@@ -1,9 +1,9 @@
 """Fixed quadrature rules on tetrahedra and triangles.
 
 Rules store barycentric points and weights relative to the simplex measure
-(weights sum to 1), so the same rule applies to any simplex through the affine
-map.  Negative weights are allowed; the degree-2 tet rule carries -1/20 at the
-vertices.
+(weights sum to 1, the measure from ``geometry.checked_measure``), so the
+same rule applies to any simplex through the affine map.  Negative weights
+are allowed; the degree-2 tet rule carries -1/20 at the vertices.
 """
 
 import math
@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .geometry import cross, signed_volumes
+from .geometry import checked_measure, simplex_measure  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,6 @@ def tri_rule_midpoint3():
     return QuadratureRule(points, weights, degree=2)
 
 
-def simplex_measure(vertices):
-    """Volumes of tets (..., 4, 3) or areas of triangles (..., 3, 3) embedded
-    in R^3, with the stack shape (a scalar for one simplex)."""
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape[-2:] == (4, 3):
-        return np.abs(signed_volumes(vertices))
-    if vertices.shape[-2:] == (3, 3):
-        d = vertices[..., 1:, :] - vertices[..., :1, :]
-        return 0.5 * np.linalg.norm(cross(d[..., 0, :], d[..., 1, :]), axis=-1)
-    raise ValueError(f"expected (..., 4, 3) or (..., 3, 3) vertex array, "
-                     f"got {vertices.shape}")
-
-
 def sample(rule, vertices, f):
     """``f`` at the rule's points on every simplex of a stack ``vertices``
     (..., k, 3): the stack shape, then one entry per point, then the value
@@ -93,9 +80,7 @@ def sample(rule, vertices, f):
     if vertices.shape[-2:] != (rule.points.shape[1], 3):
         raise ValueError(f"rule with {rule.points.shape[1]} barycentric coordinates "
                          f"does not fit vertices of shape {vertices.shape}")
-    measure = simplex_measure(vertices)
-    if np.any(measure <= 1e-300):
-        raise ValueError("degenerate simplex")
+    measure = checked_measure(vertices)
     x = (rule.points @ vertices).reshape(-1, 3)
     values = np.asarray(f(x[:, 0], x[:, 1], x[:, 2]), dtype=float)
     return (values.reshape(vertices.shape[:-2] + rule.weights.shape + values.shape[1:]),

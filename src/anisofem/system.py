@@ -34,7 +34,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .elements import cr_gradients, cr_shape
 from .geometry import (affine_field, element_volumes, local_face_geometry,
-                       per_block, rt0_affine, rt0_scales, signed_volumes,
+                       per_block, rt0_affine, rt0_scales, simplex_measure,
                        tet_gradients)
 from .quadrature import integrate, sample, tet_rule_degree2, tet_rule_degree5
 
@@ -147,11 +147,11 @@ def _local_kernel(kind, mesh, f, constrained):
         if kind == "cr":
             grads = cr_gradients(grads)
         if callable(f):
-            values, vols = sample(rule, v, f)  # vols = |signed_volumes(v)|
+            values, vols = sample(rule, v, f)  # vols = simplex_measure(v)
             loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights, basis,
                                               values)
         else:
-            vols = np.abs(signed_volumes(v))
+            vols = simplex_measure(v)
             loads = np.repeat((vols * np.asarray(f[s], dtype=float) / 4.0)[:, None],
                               4, axis=1)
         local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)

@@ -22,7 +22,7 @@ def identity_checks(flip_rt_signs=False, bubble_stiffness=72.0):
         tets = np.empty((0, 4, 3))
         while len(tets) < count:
             v = rng.uniform(-1.0, 1.0, (count - len(tets), 4, 3))
-            tets = np.concatenate([tets, v[quadrature.simplex_measure(v) > 1e-3]])
+            tets = np.concatenate([tets, v[geometry.simplex_measure(v) > 1e-3]])
         return tets
 
     # quadrature exactness against the closed-form simplex monomial integrals
@@ -30,7 +30,7 @@ def identity_checks(flip_rt_signs=False, bubble_stiffness=72.0):
                        (quadrature.tet_rule_degree5(), "quad_tet_degree5")]:
         yield name, _exactness_deviation(rule, random_tets(100)), 1e-12
     tris = rng.uniform(-1.0, 1.0, (100, 3, 3))
-    tris = tris[quadrature.simplex_measure(tris) >= 1e-3]
+    tris = tris[geometry.simplex_measure(tris) >= 1e-3]
     yield ("quad_tri_degree2",
            _exactness_deviation(quadrature.tri_rule_midpoint3(), tris), 1e-12)
 
@@ -104,19 +104,19 @@ def _exactness_deviation(rule, simplices):
     # a triangle is the face opposite an apex added off its plane
     apex = simplices[:, :1] + geometry.cross(simplices[:, 1] - simplices[:, 0],
                                              simplices[:, 2] - simplices[:, 0])[:, None]
-    bmap = elements.BarycentricMap(
-        simplices if k == 4 else np.concatenate([simplices, apex], axis=1))
+    tets = simplices if k == 4 else np.concatenate([simplices, apex], axis=1)
     exponents = np.array([e for e in itertools.product(range(rule.degree + 1), repeat=k)
                           if sum(e) <= rule.degree])
 
     def monomials(x, y, z):
-        lam = bmap.coords(np.stack([x, y, z], axis=-1).reshape(n, -1, 3))[..., :k]
+        lam = geometry.barycentric_coords(
+            tets, np.stack([x, y, z], axis=-1).reshape(n, -1, 3))[..., :k]
         return np.prod(lam[..., None, :] ** exponents, axis=-1).reshape(len(x), -1)
 
     # int over S of prod lambda_i^e_i = (prod e_i!) d! |S| / (sum e_i + d)!
     moments = [math.prod(map(math.factorial, e)) * math.factorial(k - 1)
                / math.factorial(sum(e) + k - 1) for e in exponents]
-    exact = np.outer(quadrature.simplex_measure(simplices), moments)
+    exact = np.outer(geometry.simplex_measure(simplices), moments)
     got = quadrature.integrate(rule, simplices, monomials)
     return float((np.abs(got - exact) / np.maximum(np.abs(exact), 1e-300)).max())
 

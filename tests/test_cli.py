@@ -110,6 +110,12 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
                                   "--pairs", "3:3"])
     assert code == 2 and out == ""
     assert "even" in err
+    # an M whose 1/M overflows is blamed on its pair, not on --gamma
+    huge = "1" + "0" * 400
+    code, out, err = run(capsys, ["converge", "--element", "cr",
+                                  "--pairs", f"{huge}:2"])
+    assert code == 2 and out == ""
+    assert f"bad mesh pair '{huge}:2'" in err and "gamma" not in err
     missing = tmp_path / "missing"
     existing = tmp_path / "existing.csv"
     existing.write_text("kept\n")
@@ -128,7 +134,9 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
             ["--pairs", "2:2", "--out", str(missing / "x.csv")],
             ["--pairs", "2:2", "--vtk", str(missing / "stem")],
             ["--pairs", ""], ["--pairs", "", "--out", str(existing)],
-            ["--gamma", "1100", "--pairs", "2:2"])] + [
+            ["--gamma", "1100", "--pairs", "2:2"],
+            ["--pairs", f"{huge}:2"], ["--pairs", f"2:{huge}"])] + [
+            ["interp-demo", "--n-values", huge],
             ["interp-demo", "--gamma", "nan"],
             ["interp-demo", "--n-values", ""],
             ["interp-demo", "--n-values", "-3", "--out", str(existing)],
@@ -240,6 +248,17 @@ def test_interp_demo_non_finite_row_exits_1(capsys):
     assert out == "N,h,H_T,err,r\n"
     assert "inf" not in out
     assert err.startswith("numerical failure:")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_interp_demo_overflow_is_a_numerical_failure(capsys):
+    # at gamma=-400 the sliver's height is 4^400: the edge lengths and phi
+    # overflow, reported once as a failure, with no warning and no row
+    code, out, err = run(capsys, ["interp-demo", "--gamma", "-400",
+                                  "--n-values", "4"])
+    assert code == 1
+    assert out == "N,h,H_T,err,r\n"
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

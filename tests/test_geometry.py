@@ -10,15 +10,11 @@ from anisofem.mesh import Mesh
 from conftest import random_tet
 
 
-def tet_mesh(verts):
-    return Mesh(np.asarray(verts, dtype=float), np.array([[0, 1, 2, 3]]))
-
-
 REFERENCE = [[0., 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_reference_tet():
-    g = af.tet_geometry(tet_mesh(REFERENCE), 0)
+    g = af.tet_geometry(REFERENCE)
     assert abs(g.volume - 1 / 6) < 1e-15
     assert abs(g.diameter - math.sqrt(2)) < 1e-15
     # min product over all pairs is 1*1 from two unit legs, so h^2/|T| * 1 = 12
@@ -29,15 +25,14 @@ def test_reference_tet():
 
 def test_flat_tet_aniso_is_12h():
     h = 0.1
-    g = af.tet_geometry(tet_mesh([[0, 0, 0], [h, 0, 0], [0, h, 0],
-                                  [0, 0, h ** 1.5]]), 0)
+    g = af.tet_geometry([[0, 0, 0], [h, 0, 0], [0, h, 0], [0, 0, h ** 1.5]])
     assert abs(g.aniso - 12 * h) < 1e-12 * 12 * h
 
 
 def test_regular_tet():
     # edge length 1, volume sqrt(2)/12
     v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / (2 * math.sqrt(2))
-    g = af.tet_geometry(tet_mesh(v), 0)
+    g = af.tet_geometry(v)
     assert abs(g.diameter - 1.0) < 1e-14
     assert abs(g.volume - math.sqrt(2) / 12) < 1e-15
     assert abs(g.aniso - 6 * math.sqrt(2)) < 1e-12
@@ -63,7 +58,7 @@ def test_face_distance_volume_identity():
         v = random_tet(rng)
         areas, normals, centroids = af.geometry.face_geometry(v)
         dist = -np.einsum("id,id->i", v - centroids, normals)
-        volume = af.geometry.tet_volumes(v)
+        volume = af.geometry.checked_measure(v)
         assert dist.min() > 0
         assert np.abs(dist * areas - 3 * volume).max() < 1e-13 * 3 * volume
 
@@ -72,15 +67,15 @@ def test_aniso_rigid_motion_invariance_and_scaling():
     rng = np.random.default_rng(9)
     for _ in range(25):
         v = random_tet(rng)
-        base = af.tet_geometry(tet_mesh(v), 0)
+        base = af.tet_geometry(v)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] *= -1
-        moved = af.tet_geometry(tet_mesh(v @ q.T + rng.normal(size=3)), 0)
+        moved = af.tet_geometry(v @ q.T + rng.normal(size=3))
         assert abs(moved.aniso - base.aniso) < 1e-12 * base.aniso
         assert abs(moved.aniso_opposite - base.aniso_opposite) \
             < 1e-12 * base.aniso_opposite
-        scaled = af.tet_geometry(tet_mesh(3.0 * v), 0)
+        scaled = af.tet_geometry(3.0 * v)
         assert abs(scaled.aniso - 3.0 * base.aniso) < 1e-12 * base.aniso
 
 
@@ -102,13 +97,14 @@ def test_global_metrics_published_mesh():
     assert abs(metrics.h - math.sqrt(2) / 4) < 1e-14
     # the central tets dominate: 6 (a^2 + b^2) / b with a = 1/4, b = 1/8
     assert abs(metrics.aniso_max - 3.75) < 1e-12
-    per_tet = max(af.tet_geometry(mesh, t).aniso for t in range(0, mesh.n_tets, 7))
+    per_tet = max(af.tet_geometry(mesh.tet_vertices(t)).aniso
+                  for t in range(0, mesh.n_tets, 7))
     assert metrics.aniso_max >= per_tet - 1e-12
 
 
 def test_two_identical_tets_share_max():
     mesh = af.generate_aniso_cube(2, 2)
-    best = max(af.tet_geometry(mesh, t).aniso for t in range(mesh.n_tets))
+    best = max(af.tet_geometry(mesh.tet_vertices(t)).aniso for t in range(mesh.n_tets))
     assert abs(af.global_metrics(mesh).aniso_max - best) < 1e-12 * best
 
 
@@ -116,18 +112,45 @@ def test_two_identical_tets_share_max():
 def test_degenerate_tet_rejected():
     # face 0 has zero area too: the volume check comes before any division,
     # in both views of the per-tet pass
-    flat = tet_mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [ .5, .5, 0]])
+    flat = np.array([[0., 0, 0], [1, 0, 0], [0, 1, 0], [.5, .5, 0]])
     with pytest.raises(ValueError, match="degenerate"):
-        af.tet_geometry(flat, 0)
+        af.tet_geometry(flat)
     with pytest.raises(ValueError, match="degenerate"):
-        af.global_metrics(flat)
+        af.global_metrics(Mesh(flat, np.array([[0, 1, 2, 3]])))
+
+
+DEGENERATE_TETS = {
+    # every face has area 1/2, so only a volume check refuses it
+    "coplanar": np.array([[0., 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+    # volume 1e-303/6, with face areas of 5e-203 and more
+    "tiny_volume": 1e-101 * np.array(REFERENCE),
+    "nan_vertex": np.array([[0., 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, np.nan]]),
+}
+DEGENERACY_CHECKS = {
+    "integrate": lambda v: af.integrate(af.tet_rule_degree2(), v, lambda x, y, z: x),
+    "tet_gradients": af.geometry.tet_gradients,
+    "checked_measure": af.geometry.checked_measure,
+    "rt0_affine": lambda v: af.geometry.rt0_affine(v, np.ones(4)),
+    "tet_geometry": af.tet_geometry,
+    "face_geometry": af.geometry.face_geometry,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tet", DEGENERATE_TETS)
+@pytest.mark.parametrize("entry", DEGENERACY_CHECKS)
+def test_one_degeneracy_rule(entry, tet):
+    # every per-simplex entry point applies the same refusal, NaN included,
+    # before anything divides by the measure
+    with pytest.raises(ValueError, match="^degenerate"):
+        DEGENERACY_CHECKS[entry](DEGENERATE_TETS[tet])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_underflowing_face_area_rejected():
     # h^400 at h = 1/4: the volume is positive, one face area underflows to 0
     sliver = af.sliver_tet(4, 400.0)
-    assert af.geometry.tet_volumes(sliver) > 0
+    assert af.geometry.checked_measure(sliver) > 0
     with pytest.raises(ValueError, match="degenerate face"):
         af.geometry.face_geometry(sliver)
 
@@ -145,14 +168,14 @@ def test_per_tet_and_mesh_geometry_agree():
     grads = af.geometry.barycentric_gradients(mesh)
     for t in range(mesh.n_tets):
         v = mesh.tet_vertices(t)
-        g = af.tet_geometry(mesh, t)
+        g = af.tet_geometry(v)
         assert np.allclose(g.volume, vols[t], rtol=1e-13, atol=0)
         own_areas, own_normals, _ = af.geometry.face_geometry(v)
         assert np.allclose(own_areas, areas[t], rtol=1e-13, atol=0)
         assert np.allclose(own_normals, normals[t], rtol=1e-13, atol=1e-15)
-        # the map's coordinates change by grad lambda . step along a step
+        # the coordinates change by grad lambda . step along a step
         step = np.array([0.3, -0.2, 0.5])
-        moved = af.BarycentricMap(v).coords(v + step) - np.eye(4)
+        moved = af.barycentric_coords(v, v + step) - np.eye(4)
         assert np.allclose(moved, np.tile(grads[t] @ step, (4, 1)),
                            rtol=1e-12, atol=1e-12 * np.abs(grads[t]).max())
 
@@ -173,18 +196,20 @@ TET_FAMILIES = {
 
 @pytest.mark.parametrize("family", TET_FAMILIES)
 def test_closed_form_barycentric_coefficients(family):
+    # lambda_i(x) = g_i . x + c_i: g from the gradients, c the coordinates
+    # of the origin, which barycentric_coords returns exactly
     verts = TET_FAMILIES[family]
-    coef = af.geometry.barycentric_coefficients(verts)
+    g = np.swapaxes(af.geometry.tet_gradients(verts), -1, -2)
+    c = af.barycentric_coords(verts, np.zeros(verts.shape[:-2] + (1, 3)))
+    coef = np.concatenate([g, c], axis=-2)
     oracle = _inverse_oracle(verts)
     scale = np.abs(oracle).max(axis=(-2, -1))
     assert (np.abs(coef - oracle).max(axis=(-2, -1)) <= 1e-13 * scale).all()
     # lambda_i(x_j) = delta_ij, to rounding relative to |g| |x|
-    bary = verts @ coef[..., :3, :] + coef[..., 3, None, :]
-    size = np.abs(coef[..., :3, :]).max(axis=(-2, -1)) * np.abs(verts).max(axis=(-2, -1))
+    bary = af.barycentric_coords(verts, verts)
+    size = np.abs(g).max(axis=(-2, -1)) * np.abs(verts).max(axis=(-2, -1))
     assert (np.abs(bary - np.eye(4)).max(axis=(-2, -1))
             <= 1e-14 * np.maximum(size, 1.0)).all()
-    assert np.array_equal(af.geometry.tet_gradients(verts),
-                          np.swapaxes(coef[..., :3, :], -1, -2))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -193,6 +218,6 @@ def test_closed_form_rejects_coplanar_tet():
     stack = np.stack([REFERENCE, coplanar, REFERENCE]).astype(float)
     for verts in (coplanar, stack):
         with pytest.raises(ValueError, match="degenerate"):
-            af.geometry.barycentric_coefficients(verts)
+            af.barycentric_coords(verts, verts)
         with pytest.raises(ValueError, match="degenerate"):
             af.geometry.tet_gradients(verts)
