@@ -9,6 +9,7 @@ the available memory, rejected before any output.
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -159,6 +160,11 @@ def cmd_interp_demo(args):
         raise ConfigError(f"bad demo N values {args.n_values!r}") from None
     if any(n <= 0 for n in ns) or max(ns) > sys.float_info.max:
         raise ConfigError("demo N values must be positive and within float range")
+    try:  # the sliver height h^gamma of every row, before the header
+        for n in ns:
+            (1.0 / n) ** args.gamma
+    except OverflowError:
+        raise ConfigError(f"--gamma {args.gamma!r} overflows (1/N)^gamma") from None
     with _open_out(args) as out:
         out.write("N,h,H_T,err,r\n")
         prev = None
@@ -231,6 +237,11 @@ def build_parser():
 
 
 def main(argv=None):
+    if argv is None:
+        # the process entry: the imported modules live until exit, so moving
+        # them to the permanent generation spares the run and the interpreter
+        # finalisation any further collections over them
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if not math.isfinite(getattr(args, "gamma", 0.0)):

@@ -111,7 +111,12 @@ def _exactness_deviation(rule, simplices):
     def monomials(x, y, z):
         lam = geometry.barycentric_coords(
             tets, np.stack([x, y, z], axis=-1).reshape(n, -1, 3))[..., :k]
-        return np.prod(lam[..., None, :] ** exponents, axis=-1).reshape(len(x), -1)
+        # one factor at a time, with no (n, q, terms, k) stack of powers held;
+        # the factors are multiplied in the same order as a product over k
+        out = lam[..., :1] ** exponents[:, 0]
+        for i in range(1, k):
+            out *= lam[..., i:i + 1] ** exponents[:, i]
+        return out.reshape(len(x), -1)
 
     # int over S of prod lambda_i^e_i = (prod e_i!) d! |S| / (sum e_i + d)!
     moments = [math.prod(map(math.factorial, e)) * math.factorial(k - 1)

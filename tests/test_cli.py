@@ -1,6 +1,10 @@
 import dataclasses
+import gc
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +120,11 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
                                   "--pairs", f"{huge}:2"])
     assert code == 2 and out == ""
     assert f"bad mesh pair '{huge}:2'" in err and "gamma" not in err
+    # a demo --gamma whose sliver height (1/N)^gamma overflows is named
+    code, out, err = run(capsys, ["interp-demo", "--gamma", "-1000",
+                                  "--n-values", "4"])
+    assert code == 2 and out == ""
+    assert "--gamma" in err
     missing = tmp_path / "missing"
     existing = tmp_path / "existing.csv"
     existing.write_text("kept\n")
@@ -141,6 +150,8 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
             ["interp-demo", "--n-values", ""],
             ["interp-demo", "--n-values", "-3", "--out", str(existing)],
             ["interp-demo", "--gamma", "nan", "--out", str(existing)],
+            ["interp-demo", "--gamma", "-1000", "--n-values", "4,8",
+             "--out", str(existing)],
             ["verify", "--out", str(missing / "v.csv")],
             ["verify", "--bubble-stiffness", "nan"],
             ["verify", "--bubble-stiffness", "inf"],
@@ -354,3 +365,24 @@ def test_traced_layers_exist():
         mod = importlib.import_module(f"anisofem.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"anisofem.{module}.{name}"
+
+
+def test_process_entry_freezes_the_import_heap():
+    # run as __main__, main() sees no argv and freezes what the imports left
+    script = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+              "sys.argv = ['anisofem', 'interp-demo', '--n-values', '4']\n"
+              "runpy.run_module('anisofem.cli', run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) > 0
+
+
+def test_main_with_argv_leaves_gc_alone(capsys):
+    # pytest, embedders and the traced benchmark pass argv: no freeze there
+    before = gc.get_freeze_count()
+    code, _, _ = run(capsys, ["converge", "--element", "cr", "--pairs", "2:2"])
+    assert code == 0
+    assert gc.get_freeze_count() == before
