@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import cr_gradients, cr_interpolate_pointwise
-from .geometry import element_volumes, per_block, tet_geometry, tet_gradients
-from .quadrature import (mean, sample, tet_rule_degree2, tet_rule_degree5,
+from .geometry import (affine_field, element_volumes, per_block, tet_geometry,
+                       tet_gradients)
+from .quadrature import (map_points, mean, tet_rule_degree2, tet_rule_degree5,
                          tri_rule_midpoint3)
 from .system import Field
 
@@ -24,13 +25,18 @@ _RULE5 = tet_rule_degree5()
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact solution u, its gradient, the right-hand side f = -Laplace(u),
+    """Exact solution u with its gradient, the right-hand side f = -Laplace(u),
     and the constant the reported errors are divided by."""
 
-    u: callable
-    grad_u: callable
+    solution: callable    # (x, y, z) -> (u, grad u), grad along a last axis of 3
     f: callable
     hess_diag_l2: float   # || (u_xx, u_yy, u_zz) ||_L2, the table normaliser
+
+    def u(self, x, y, z):
+        return self.solution(x, y, z)[0]
+
+    def grad_u(self, x, y, z):
+        return self.solution(x, y, z)[1]
 
 
 def _p(t):
@@ -43,15 +49,52 @@ def cube_polynomial_case():
     The benchmark tables normalise errors by the L2 norm of the vector of
     pure second derivatives (u_xx, u_yy, u_zz), which is sqrt(1/75).
     """
-    u = lambda x, y, z: _p(x) * _p(y) * _p(z)
-    grad_u = lambda x, y, z: np.stack([
-        (1.0 - 2.0 * x) * _p(y) * _p(z),
-        _p(x) * (1.0 - 2.0 * y) * _p(z),
-        _p(x) * _p(y) * (1.0 - 2.0 * z),
-    ], axis=-1)
+    def solution(x, y, z):
+        px, py, pz = _p(x), _p(y), _p(z)
+        pxy = px * py
+        grad = np.empty(np.shape(pxy) + (3,))
+        np.multiply((1.0 - 2.0 * x) * py, pz, out=grad[..., 0])
+        np.multiply(px * (1.0 - 2.0 * y), pz, out=grad[..., 1])
+        np.multiply(pxy, 1.0 - 2.0 * z, out=grad[..., 2])
+        return pxy * pz, grad
+
     f = lambda x, y, z: 2.0 * (_p(y) * _p(z) + _p(x) * _p(z) + _p(x) * _p(y))
-    return ManufacturedCase(u=u, grad_u=grad_u, f=f,
-                            hess_diag_l2=math.sqrt(1 / 75))
+    return ManufacturedCase(solution=solution, f=f, hess_diag_l2=math.sqrt(1 / 75))
+
+
+def error_norms(mesh, field, solution, rule=None):
+    """(broken H1, L2) distance between a field and an exact solution, from
+    one pass over the elements: per block, one vertex gather, one map of the
+    rule's points, one measure check and one call ``solution(x, y, z)`` ->
+    (u, grad u).  Either part may be None, which skips its norm (None too).
+
+    The broken H1 part is the elementwise || grad u - grad u_h ||.  For rt0
+    fields the flux sigma plays the role of the discrete gradient, and the
+    piecewise-constant cell part is compared in L2.
+    """
+    rule = rule or _RULE5
+
+    def block(s):
+        v = mesh.tet_vertices(s)
+        points, vols = map_points(rule, v)
+        x = points.reshape(-1, 3)
+        u, grad = solution(x[:, 0], x[:, 1], x[:, 2])
+        h1 = l2 = None
+        if u is not None:
+            values = (field.cell_coeffs[s, None] if field.space == "rt0"
+                      else field.element_values(rule.points, s))
+            l2 = np.einsum("q,tq->t", rule.weights,
+                           (np.reshape(u, points.shape[:-1]) - values) ** 2)
+            del u, values  # not held through the larger H1 temporaries
+        if grad is not None:
+            diff = np.reshape(grad, points.shape) - (
+                affine_field(*field.flux_affine(s, v), points) if field.space == "rt0"
+                else field.element_gradients(s, v)[:, None, :])
+            h1 = np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
+        return vols, h1, l2
+
+    vols, *squares = per_block(mesh.n_tets, block)
+    return tuple(None if e is None else math.sqrt(float(vols @ e)) for e in squares)
 
 
 def l2_error(mesh, field, u_exact, rule=None):
@@ -59,16 +102,8 @@ def l2_error(mesh, field, u_exact, rule=None):
 
     For rt0 fields the piecewise-constant cell part is compared.
     """
-    rule = rule or _RULE5
-
-    def block(s):
-        exact, vols = sample(rule, mesh.tet_vertices(s), u_exact)
-        values = (field.cell_coeffs[s, None] if field.space == "rt0"
-                  else field.element_values(rule.points, s))
-        return vols, np.einsum("q,tq->t", rule.weights, (exact - values) ** 2)
-
-    vols, per_element = per_block(mesh.n_tets, block)
-    return math.sqrt(float(vols @ per_element))
+    return error_norms(mesh, field, lambda x, y, z: (u_exact(x, y, z), None),
+                       rule)[1]
 
 
 def broken_h1_error(mesh, field, grad_exact):
@@ -76,14 +111,7 @@ def broken_h1_error(mesh, field, grad_exact):
 
     For rt0 fields the flux sigma plays the role of the discrete gradient.
     """
-    def block(s):
-        exact, vols = sample(_RULE5, mesh.tet_vertices(s), grad_exact)
-        diff = exact - (field.flux_values(_RULE5.points, s) if field.space == "rt0"
-                        else field.element_gradients(s)[:, None, :])
-        return vols, np.einsum("q,tqd,tqd->t", _RULE5.weights, diff, diff)
-
-    vols, per_element = per_block(mesh.n_tets, block)
-    return math.sqrt(float(vols @ per_element))
+    return error_norms(mesh, field, lambda x, y, z: (None, grad_exact(x, y, z)))[0]
 
 
 def field_l2_norm(mesh, field):

@@ -138,8 +138,8 @@ def cmd_converge(args):
                 fld = system.solve_spd(assemble(mesh, data), tol=args.tol)
                 dofs = len(fld.coeffs)  # vertices (p1), faces (cr)
 
-            err_h1 = analysis.broken_h1_error(mesh, fld, case.grad_u) / case.hess_diag_l2
-            err_l2 = analysis.l2_error(mesh, fld, case.u) / case.hess_diag_l2
+            err_h1, err_l2 = (e / case.hess_diag_l2 for e in
+                              analysis.error_norms(mesh, fld, case.solution))
             r_h1 = None if prev_h1 is None else math.log2(prev_h1 / err_h1)
             r_l2 = None if prev_l2 is None else math.log2(prev_l2 / err_l2)
             prev_h1, prev_l2 = err_h1, err_l2

@@ -19,6 +19,7 @@ generated mesh family; the opposite-pair variant is the one the reference
 benchmark tables for the interpolation demo were computed with.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ LOCAL_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 # three opposite (vertex-disjoint) pairs
 EDGE_VERTICES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 _OPPOSITE_EDGE_PAIRS = ((0, 5), (1, 4), (2, 3))
-_ALL_EDGE_PAIRS = tuple((i, j) for i in range(6) for j in range(i + 1, 6))
+_ADJACENT_EDGE_PAIRS = tuple((i, j) for i in range(6) for j in range(i + 1, 6)
+                             if (i, j) not in _OPPOSITE_EDGE_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -57,21 +59,28 @@ BLOCK = 2048
 
 def per_block(n, kernel):
     """``kernel(s)`` on the slices s of range(n), BLOCK elements each (one
-    empty slice when n = 0), its output arrays (one or a tuple) joined along
-    the first axis.  Per-element kernels give the same bits at any block
-    size; sums across elements are left to the caller, to run once over the
-    joined arrays, so no result depends on BLOCK."""
+    empty slice when n = 0), its output arrays (one or a tuple, where None
+    stays None) joined along the first axis.  Per-element kernels give the
+    same bits at any block size; sums across elements are left to the
+    caller, to run once over the joined arrays, so no result depends on
+    BLOCK."""
     parts = [kernel(slice(i, i + BLOCK)) for i in range(0, max(n, 1), BLOCK)]
     if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        return tuple(None if p[0] is None else np.concatenate(p)
+                     for p in zip(*parts))
     return np.concatenate(parts)
 
 
-def cross(a, b):
-    """a x b over the last axis, component by component."""
-    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
-                    axis=-1)
+def cross(a, b, out=None):
+    """a x b over the last axis, component by component, into ``out`` (a new
+    array by default)."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)),
+                       dtype=np.result_type(a, b))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        out[..., i] -= a[..., k] * b[..., j]
+    return out
 
 
 def signed_volumes(verts):
@@ -113,11 +122,14 @@ def tet_gradients(verts):
     d1 x d2) / det and grad lambda_0 = -their sum.  A degenerate tet raises
     ValueError before the division."""
     d1, d2, d3 = (verts[..., j, :] - verts[..., 0, :] for j in (1, 2, 3))
-    g = np.stack([cross(d2, d3), cross(d3, d1), cross(d1, d2)], axis=-2)
-    det = np.einsum("...j,...j->...", g[..., 2, :], d3)
+    g = np.empty(d1.shape[:-1] + (4, 3))
+    for row, (a, b) in enumerate(((d2, d3), (d3, d1), (d1, d2)), start=1):
+        cross(a, b, out=g[..., row, :])
+    det = np.einsum("...j,...j->...", g[..., 3, :], d3)
     _refuse_degenerate(np.abs(det) / 6.0, "tet")
-    g /= det[..., None, None]
-    return np.concatenate([-g.sum(axis=-2, keepdims=True), g], axis=-2)
+    g[..., 1:, :] /= det[..., None, None]
+    np.negative(g[..., 1, :] + g[..., 2, :] + g[..., 3, :], out=g[..., 0, :])
+    return g
 
 
 def barycentric_coords(verts, points):
@@ -166,7 +178,8 @@ def rt0_affine(verts, coeffs):
     and b (..., 3).  A degenerate tet raises ValueError.
     """
     verts = np.asarray(verts, dtype=float)
-    c = coeffs * rt0_scales(face_geometry(verts)[0], simplex_measure(verts))
+    areas = _refuse_degenerate(simplex_measure(verts[..., LOCAL_FACES, :]), "face")
+    c = coeffs * rt0_scales(areas, checked_measure(verts))
     return c.sum(axis=-1), np.einsum("...i,...id->...d", c, verts)
 
 
@@ -197,14 +210,16 @@ def _tet_metrics(verts):
     opposite-pairs) anisotropy measures h^2/|T| * min of edge products; a
     degenerate tet raises."""
     volumes = checked_measure(verts)
-    lengths = np.linalg.norm(verts[..., EDGE_VERTICES[:, 0], :]
-                             - verts[..., EDGE_VERTICES[:, 1], :], axis=-1)
-    diameters = lengths.max(axis=-1)
+    x, y, z = (verts[..., k] for k in range(3))
+    edge = [np.sqrt((x[..., i] - x[..., j]) ** 2 + (y[..., i] - y[..., j]) ** 2
+                    + (z[..., i] - z[..., j]) ** 2) for i, j in EDGE_VERTICES]
+    diameters = functools.reduce(np.maximum, edge)
     scale = diameters ** 2 / volumes
-    aniso = [scale * np.min(np.stack([lengths[..., i] * lengths[..., j]
-                                      for i, j in pairs], axis=-1), axis=-1)
-             for pairs in (_ALL_EDGE_PAIRS, _OPPOSITE_EDGE_PAIRS)]
-    return (volumes, diameters, *aniso)
+    opposite = functools.reduce(np.minimum, (edge[i] * edge[j]
+                                             for i, j in _OPPOSITE_EDGE_PAIRS))
+    adjacent = functools.reduce(np.minimum, (edge[i] * edge[j]
+                                             for i, j in _ADJACENT_EDGE_PAIRS))
+    return volumes, diameters, scale * np.minimum(adjacent, opposite), scale * opposite
 
 
 def tet_geometry(verts):

@@ -65,6 +65,18 @@ def tri_rule_midpoint3():
     return QuadratureRule(points, weights, degree=2)
 
 
+def map_points(rule, vertices):
+    """The rule's points (..., n, 3) on every simplex of a stack ``vertices``
+    (..., k, 3), with the measure of each simplex (the stack shape); a
+    degenerate simplex raises ValueError."""
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.shape[-2:] != (rule.points.shape[1], 3):
+        raise ValueError(f"rule with {rule.points.shape[1]} barycentric coordinates "
+                         f"does not fit vertices of shape {vertices.shape}")
+    measure = checked_measure(vertices)
+    return rule.points @ vertices, measure
+
+
 def sample(rule, vertices, f):
     """``f`` at the rule's points on every simplex of a stack ``vertices``
     (..., k, 3): the stack shape, then one entry per point, then the value
@@ -76,15 +88,10 @@ def sample(rule, vertices, f):
     values may be scalar or vector-valued, with the points along their first
     axis.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape[-2:] != (rule.points.shape[1], 3):
-        raise ValueError(f"rule with {rule.points.shape[1]} barycentric coordinates "
-                         f"does not fit vertices of shape {vertices.shape}")
-    measure = checked_measure(vertices)
-    x = (rule.points @ vertices).reshape(-1, 3)
+    points, measure = map_points(rule, vertices)
+    x = points.reshape(-1, 3)
     values = np.asarray(f(x[:, 0], x[:, 1], x[:, 2]), dtype=float)
-    return (values.reshape(vertices.shape[:-2] + rule.weights.shape + values.shape[1:]),
-            measure)
+    return (values.reshape(points.shape[:-1] + values.shape[1:]), measure)
 
 
 def _weighted_sum(values, weights, axis):

@@ -86,9 +86,11 @@ class Field:
             return self.coeffs[self.mesh.faces.tet_faces[tets]]
         raise ValueError(f"no scalar element coefficients for space {self.space!r}")
 
-    def element_gradients(self, tets=slice(None)):
-        """Constant per-element gradients, (nt, 3)."""
-        grads = tet_gradients(self.mesh.tet_vertices(tets))
+    def element_gradients(self, tets=slice(None), verts=None):
+        """Constant per-element gradients, (nt, 3).  ``verts``, the vertices
+        of ``tets``, spares a caller that has them a second gather."""
+        grads = tet_gradients(self.mesh.tet_vertices(tets) if verts is None
+                              else verts)
         if self.space == "cr":
             grads = cr_gradients(grads)
         elif self.space != "p1":
@@ -103,18 +105,21 @@ class Field:
     def flux_values(self, bary, tets=slice(None)):
         """RT0 vector values at barycentric points, (nt, nq, 3)."""
         v = self.mesh.tet_vertices(tets)
-        a, b = self._flux_affine(v, tets)
-        return affine_field(a, b, np.asarray(bary) @ v)
+        return affine_field(*self.flux_affine(tets, v), np.asarray(bary) @ v)
 
     def flux_divergence(self):
         """Constant per-element divergence of an rt0 field, (nt,)."""
-        return 3.0 * self._flux_affine(self.mesh.tet_vertices(), slice(None))[0]
+        return 3.0 * self.flux_affine()[0]
 
-    def _flux_affine(self, v, tets):
+    def flux_affine(self, tets=slice(None), verts=None):
+        """The rt0 field on each element as sigma = a x - b, returned as
+        (a, b) (``geometry.rt0_affine``); ``verts`` as in
+        ``element_gradients``."""
         if self.space != "rt0":
             raise ValueError("fluxes only exist for rt0 fields")
         faces = self.mesh.faces
-        return rt0_affine(v, self.coeffs[faces.tet_faces[tets]]
+        return rt0_affine(self.mesh.tet_vertices(tets) if verts is None else verts,
+                          self.coeffs[faces.tet_faces[tets]]
                           * faces.tet_face_signs[tets])
 
 
@@ -139,6 +144,7 @@ def _local_kernel(kind, mesh, f, constrained):
                          f"got {np.shape(f)}")
     rule = tet_rule_degree5()
     basis = rule.points if kind == "p1" else cr_shape(rule.points)
+    weighted = rule.weights[:, None] * basis
     dofs = mesh.tets if kind == "p1" else mesh.faces.tet_faces
 
     def block(s):
@@ -148,8 +154,7 @@ def _local_kernel(kind, mesh, f, constrained):
             grads = cr_gradients(grads)
         if callable(f):
             values, vols = sample(rule, v, f)  # vols = simplex_measure(v)
-            loads = vols[:, None] * np.einsum("q,qi,tq->ti", rule.weights, basis,
-                                              values)
+            loads = vols[:, None] * np.einsum("tq,qi->ti", values, weighted)
         else:
             vols = simplex_measure(v)
             loads = np.repeat((vols * np.asarray(f[s], dtype=float) / 4.0)[:, None],
@@ -219,7 +224,11 @@ def _face_columns(mesh):
     xs, ys = np.unique(mesh.vertices[:, 0]), np.unique(mesh.vertices[:, 1])
     label = (np.searchsorted(xs, x, side="right") * (len(ys) + 1)
              + np.searchsorted(ys, y, side="right"))
-    order = np.lexsort((z, label))
+    # stable sorts by z, then by label: np.lexsort((z, label)), with the
+    # label sort a radix sort on the narrowest unsigned type that holds it
+    order = np.argsort(z, kind="stable")
+    keys = label.astype(np.min_scalar_type(label.max()))[order]
+    order = order[np.argsort(keys, kind="stable")]
     return order, label
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import anisofem as af
 from anisofem.analysis import global_cr_interpolant
+from anisofem.quadrature import sample
 
 from conftest import CASE
 
@@ -86,6 +87,36 @@ def test_errors_vanish_for_interpolated_linear():
     cr = global_cr_interpolant(mesh, u)
     assert af.l2_error(mesh, cr, u) < 1e-13
     assert af.broken_h1_error(mesh, cr, grad) < 1e-13
+
+
+def _separate_error_passes(mesh, field):
+    # reference: one pass per norm, each sampling its own exact function
+    rule = af.tet_rule_degree5()
+    v = mesh.tet_vertices()
+    exact, vols = sample(rule, v, CASE.grad_u)
+    diff = exact - (field.flux_values(rule.points) if field.space == "rt0"
+                    else field.element_gradients()[:, None, :])
+    h1 = vols @ np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
+    exact, vols = sample(rule, v, CASE.u)
+    values = (field.cell_coeffs[:, None] if field.space == "rt0"
+              else field.element_values(rule.points))
+    l2 = vols @ np.einsum("q,tq->t", rule.weights, (exact - values) ** 2)
+    return math.sqrt(float(h1)), math.sqrt(float(l2))
+
+
+@pytest.mark.parametrize("space", ["p1", "cr", "rt0"])
+def test_error_sweep_matches_the_separate_norms(space):
+    # the one-sweep (H1, L2) pair has the bits of the single-norm functions
+    # and of the two passes it replaces
+    mesh = af.generate_aniso_cube(4, 8)
+    rng = np.random.default_rng(17)
+    n = mesh.n_vertices if space == "p1" else mesh.faces.n_faces
+    cells = rng.uniform(-1.0, 1.0, mesh.n_tets) if space == "rt0" else None
+    field = af.Field(space, mesh, rng.uniform(-1.0, 1.0, n), cell_coeffs=cells)
+    h1, l2 = af.error_norms(mesh, field, CASE.solution)
+    assert (h1, l2) == (af.broken_h1_error(mesh, field, CASE.grad_u),
+                        af.l2_error(mesh, field, CASE.u))
+    assert (h1, l2) == _separate_error_passes(mesh, field)
 
 
 def test_zero_field_error_is_solution_norm():

@@ -44,6 +44,7 @@ def _passes():
     for fld in fields:
         out[f"l2_{fld.space}"] = af.l2_error(mesh, fld, CASE.u)
         out[f"h1_{fld.space}"] = af.broken_h1_error(mesh, fld, CASE.grad_u)
+        out[f"sweep_{fld.space}"] = af.error_norms(mesh, fld, CASE.solution)
     return out
 
 

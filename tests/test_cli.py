@@ -242,7 +242,7 @@ def test_numerical_value_error_exits_1(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("singular element")
 
-    monkeypatch.setattr(analysis, "broken_h1_error", broken)
+    monkeypatch.setattr(analysis, "error_norms", broken)
     code, out, err = run(capsys, ["converge", "--element", "cr",
                                   "--pairs", "2:2"])
     assert code == 1

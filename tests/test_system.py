@@ -304,6 +304,16 @@ def test_face_columns_partition_the_faces():
     assert len(np.unique(pairs[1])) == m * m
 
 
+def test_face_column_order_is_the_lexsort():
+    # the two stable sorts (z, then the narrow-typed labels) give the
+    # lexsort order, on bins that are no longer box columns
+    mesh = jittered_cube(4, 16)
+    order, label = af.system._face_columns(mesh)
+    p = mesh.vertices[:, 2][mesh.faces.vertices]
+    z = p[:, 0] + ((p[:, 1] - p[:, 0]) + (p[:, 2] - p[:, 0])) / 3.0
+    assert np.array_equal(order, np.lexsort((z, label)))
+
+
 def test_cr_column_preconditioner_off_the_grid():
     # jittered vertices give narrower bins, but the blocks are still exact
     # solves on parts of the matrix, so the contract holds
