@@ -271,16 +271,45 @@ def assert_matches_spsolve(system, field):
     assert np.abs(field.coeffs - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
-@pytest.mark.parametrize("m, n, jacobi, bound", [(4, 16, 95, 40),
-                                                 (8, 64, 371, 70)])
+@pytest.mark.parametrize("m, n, jacobi, bound", [(4, 16, 95, 24),
+                                                 (8, 64, 371, 42)])
 def test_cr_column_preconditioner_iterations(m, n, jacobi, bound):
-    # Jacobi-CG takes `jacobi` iterations here, so a silent fall-back fails
+    # Jacobi-CG takes `jacobi` iterations here, so a silent fall-back fails;
+    # the band without its diagonal compensation takes 29 and 51, so losing
+    # the compensation fails too
     system = af.assemble_cr(af.generate_aniso_cube(m, n), CASE.f)
     field = af.solve_spd(system)
     assert field.solve_info["iterations"] <= bound < jacobi
     assert field.solve_info["residual"] <= 1e-10
     if m == 4:
         assert_matches_spsolve(system, field)
+
+
+@pytest.mark.parametrize("mesh", ["4:8", "jittered"])
+def test_compensated_column_band_dominates_the_matrix(mesh):
+    # A <= B~ with B~ the band plus its diagonal compensation, so the
+    # eigenvalues of M A, M = B~^-1, lie in (0, 1]; jittered vertices give
+    # narrow bins, so the band drops more couplings there
+    mesh = jittered_cube(4, 8) if mesh == "jittered" else af.generate_aniso_cube(4, 8)
+    system = af.assemble_cr(mesh, CASE.f)
+    apply, _ = af.system._column_band(system.matrix, system.columns)
+    n = system.matrix.shape[0]
+    precond = apply(np.eye(n))
+    # M = L L^T, and L^T A L has the eigenvalues of M A
+    lower = np.linalg.cholesky((precond + precond.T) / 2.0)
+    dense = system.matrix.toarray()
+    eig = np.linalg.eigvalsh(lower.T @ dense @ lower)
+    assert eig.min() > 0.0
+    assert eig.max() <= 1.0 + 1e-10
+    # M inverts B~ formed entry by entry: a_ij inside a column, and
+    # d_i = sum over j outside of |a_ij| sqrt(a_jj / a_ii)
+    label = system.columns[1]
+    inside = label[:, None] == label[None, :]
+    w = np.sqrt(np.diag(dense))
+    d = (np.abs(np.where(inside, 0.0, dense)) @ w) / w
+    reference = np.where(inside, dense, 0.0) + np.diag(d)
+    assert (d > 0).any()
+    assert np.abs(precond @ reference - np.eye(n)).max() < 1e-8
 
 
 def test_face_columns_partition_the_faces():
