@@ -31,7 +31,7 @@ print(f"{'N':>6} {'h':>12} {'H_T':>12} {'err':>12} {'r':>6}")
 prev = None
 for n in [128, 256, 512, 1024, 2048, 4096]:
     h, aniso, err = af.sliver_interp_row(n)
-    r = f"{np.log2(prev / err):.2f}" if prev else ""
+    r = f"{af.convergence_indicator([prev, err])[0]:.2f}" if prev else ""
     print(f"{n:>6} {h:>12.4e} {aniso:>12.4e} {err:>12.4e} {r:>6}")
     prev = err
 print("\nthe rate locks to ~0.5, the decay rate of H_T, not of h")

@@ -9,29 +9,22 @@ the L2 norm of (u_xx, u_yy, u_zz).
 Roughly a minute of compute; shrink PAIRS for a quicker pass.
 """
 
-import math
-
 import anisofem as af
 
 PAIRS = [(4, 16), (8, 64), (16, 256)]  # gamma = 2.0
 case = af.cube_polynomial_case()
 
-for element, assemble in [("p1", af.assemble_p1), ("cr", af.assemble_cr)]:
+for element in ("p1", "cr"):
     print(f"{element} on gamma = 2.0 meshes")
     print(f"{'M':>4} {'N':>5} {'dofs':>9} {'err_h1':>12} {'r':>6} "
           f"{'err_l2':>12} {'r':>6}")
     prev = None
     for m, n in PAIRS:
         mesh = af.generate_aniso_cube(m, n)
-        field = af.solve_spd(assemble(mesh, case.f))
-        err_h1, err_l2 = (e / case.hess_diag_l2
-                          for e in af.error_norms(mesh, field, case.solution))
-        dofs = mesh.n_vertices if element == "p1" else mesh.faces.n_faces
-        if prev:
-            r1 = f"{math.log2(prev[0] / err_h1):.2f}"
-            r2 = f"{math.log2(prev[1] / err_l2):.2f}"
-        else:
-            r1 = r2 = ""
+        _, dofs, err_h1, err_l2 = af.converge_row(element, mesh, case)
+        r1, r2 = ("", "") if prev is None else (
+            f"{af.convergence_indicator(pair)[0]:.2f}"
+            for pair in zip(prev, (err_h1, err_l2)))
         print(f"{m:>4} {n:>5} {dofs:>9} {err_h1:>12.4e} {r1:>6} "
               f"{err_l2:>12.4e} {r2:>6}")
         prev = (err_h1, err_l2)

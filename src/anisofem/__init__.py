@@ -4,9 +4,10 @@ discretisations, an anisotropy measure replacing shape-regularity, and the
 bubble-based equivalence between the enriched CR and RT0 mixed solutions.
 """
 
-from .analysis import (ManufacturedCase, broken_h1_error, convergence_indicator,
-                       cube_polynomial_case, discrete_poincare_ratio, error_norms,
-                       l2_error, sliver_interp_row, sliver_tet)
+from .analysis import (ManufacturedCase, broken_h1_error, converge_row,
+                       convergence_indicator, cube_polynomial_case,
+                       discrete_poincare_ratio, error_norms, l2_error,
+                       sliver_interp_row, sliver_tet)
 from .elements import (cr_interpolate, cr_interpolate_pointwise,
                        local_commuting_check, p0_project, rt_interpolate)
 from .equivalence import (bubble_eval, bubble_grad, bubble_identities,

@@ -1,5 +1,5 @@
-"""Error norms against manufactured solutions, the convergence indicator and
-assorted diagnostics.
+"""Error norms against manufactured solutions, one row of a convergence
+study, the convergence indicator and assorted diagnostics.
 
 All error integrals use the 15-point degree-5 tet rule.  For the polynomial
 benchmark solution the squared-error integrands reach degree 10, so the rule
@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import cr_gradients, cr_interpolate_pointwise
+from .elements import cr_gradients, cr_interpolate_pointwise, p0_project
+from .equivalence import enriched_cr_solve, marini_reconstruct
 from .geometry import (affine_field, element_volumes, per_block, tet_geometry,
                        tet_gradients)
 from .quadrature import (map_points, mean, tet_rule_degree2, tet_rule_degree5,
                          tri_rule_midpoint3)
-from .system import Field
+from .system import Field, assemble_cr, assemble_p1, solve_spd
 
 _RULE5 = tet_rule_degree5()
 
@@ -95,6 +96,29 @@ def error_norms(mesh, field, solution, rule=None):
 
     vols, *squares = per_block(mesh.n_tets, block)
     return tuple(None if e is None else math.sqrt(float(vols @ e)) for e in squares)
+
+
+def converge_row(element, mesh, case, rhs="exact-f", tol=1e-10):
+    """One row of a convergence study: (field, dofs, err_h1, err_l2) of the
+    ``element`` ('p1', 'cr' or 'rt') solution of ``case`` on ``mesh``, the
+    errors from one ``error_norms`` sweep divided by ``case.hess_diag_l2``.
+    ``rhs`` is the p1/cr load, 'exact-f' or the cell means 'projected-f';
+    rt always takes the cell means.
+    """
+    if element == "rt":
+        # the mixed solution is rebuilt from the enriched CR one
+        cr, gamma = enriched_cr_solve(mesh, case.f, tol=tol)
+        field, _ = marini_reconstruct(mesh, cr, gamma)
+        dofs = len(cr.coeffs) + mesh.n_tets  # faces + cells
+    else:
+        data = (p0_project(mesh.tet_vertices(), case.f)
+                if rhs == "projected-f" else case.f)
+        assemble = {"p1": assemble_p1, "cr": assemble_cr}[element]
+        field = solve_spd(assemble(mesh, data), tol=tol)
+        dofs = len(field.coeffs)  # vertices (p1), faces (cr)
+    err_h1, err_l2 = (e / case.hess_diag_l2
+                      for e in error_norms(mesh, field, case.solution))
+    return field, dofs, err_h1, err_l2
 
 
 def l2_error(mesh, field, u_exact, rule=None):

@@ -4,7 +4,8 @@ studies, the flat-tet interpolation demo and the identity suite.
 Exit codes: 0 success, 1 numerical failure (solver breakdown, an overflow,
 invalid value or ValueError raised from numerics, a non-finite value in a
 row or a failed identity), 2 configuration error or a study too large for
-the available memory, rejected before any output.
+the available memory, rejected before any output, or a --vtk file that
+cannot be written, which may follow rows already written.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, elements, equivalence, geometry, system
+from . import analysis, geometry, system
 from .mesh import generate_aniso_cube, write_vtk
 from .verify import identity_checks
 
@@ -117,32 +118,24 @@ def cmd_converge(args):
         raise ConfigError(f"--gamma {args.gamma!r} overflows (1/M)^(2-gamma)") from None
     _check_memory(args.element, pairs)
     case = analysis.cube_polynomial_case()
-    assemble = system.assemble_p1 if args.element == "p1" else system.assemble_cr
     with _open_out(args) as out:
         out.write(CONVERGE_HEADER + "\n")
         out.flush()
-        prev_h1 = prev_l2 = None
+        prev = None
         for (m, n), h_nom in zip(pairs, h_nominal):
             mesh = generate_aniso_cube(m, n)
             if args.vtk:
-                write_vtk(mesh, f"{args.vtk}.M{m}N{n}.vtk")
+                try:
+                    write_vtk(mesh, f"{args.vtk}.M{m}N{n}.vtk")
+                except OSError as exc:
+                    raise ConfigError(f"cannot write --vtk file: {exc}") from None
             metrics = geometry.global_metrics(mesh)
-            if args.element == "rt":
-                # the mixed solution is rebuilt from the enriched CR one
-                cr, gamma = equivalence.enriched_cr_solve(mesh, case.f, tol=args.tol)
-                fld, _ = equivalence.marini_reconstruct(mesh, cr, gamma)
-                dofs = len(cr.coeffs) + mesh.n_tets  # faces + cells
-            else:
-                data = (elements.p0_project(mesh.tet_vertices(), case.f)
-                        if args.rhs == "projected-f" else case.f)
-                fld = system.solve_spd(assemble(mesh, data), tol=args.tol)
-                dofs = len(fld.coeffs)  # vertices (p1), faces (cr)
-
-            err_h1, err_l2 = (e / case.hess_diag_l2 for e in
-                              analysis.error_norms(mesh, fld, case.solution))
-            r_h1 = None if prev_h1 is None else math.log2(prev_h1 / err_h1)
-            r_l2 = None if prev_l2 is None else math.log2(prev_l2 / err_l2)
-            prev_h1, prev_l2 = err_h1, err_l2
+            _, dofs, err_h1, err_l2 = analysis.converge_row(
+                args.element, mesh, case, rhs=args.rhs, tol=args.tol)
+            r_h1, r_l2 = (None, None) if prev is None else (
+                analysis.convergence_indicator(pair)[0]
+                for pair in zip(prev, (err_h1, err_l2)))
+            prev = err_h1, err_l2
 
             row = [str(m), str(n), _fmt(1.0 / m), _fmt(h_nom),
                    _fmt(metrics.aniso_max), str(dofs),
@@ -170,7 +163,8 @@ def cmd_interp_demo(args):
         prev = None
         for n in ns:
             h, aniso, err = analysis.sliver_interp_row(n, gamma=args.gamma)
-            r = "" if prev is None else _fmt(math.log2(prev / err))
+            r = "" if prev is None else _fmt(
+                analysis.convergence_indicator([prev, err])[0])
             out.write(f"{n},{_fmt(h)},{_fmt(aniso)},{_fmt(err)},{r}\n")
             prev = err
         out.flush()

@@ -17,13 +17,13 @@ unknowns; flux DOFs take their orientation from the face table's
 
 The P1/CR assemblers take the data f as a callable, integrated against each
 basis function by the degree-5 rule, or as an array of its cell means, which
-is the load of the projected problem.  The CR system also carries its
-vertical face columns, and ``solve_spd`` preconditions CG with exact banded
-Cholesky solves on them, with a diagonal that bounds the couplings between
-columns; P1 keeps Jacobi.  ``converge`` gets its RT0 rows from
-the enriched CR solution of ``equivalence``; the mixed system and its MINRES
-solve are the independent oracle that ``verify`` checks that reconstruction
-against.
+is the load of the projected problem.  ``solve_spd`` picks the CG
+preconditioner from the system's kind: for CR, exact banded Cholesky solves
+on the vertical face columns of its mesh, with a diagonal that bounds the
+couplings between columns; for P1, Jacobi.  ``converge`` gets its RT0 rows
+from the enriched CR solution of ``equivalence``; the mixed system and its
+MINRES solve are the independent oracle that ``verify`` checks that
+reconstruction against.
 """
 
 from dataclasses import dataclass, field
@@ -57,10 +57,6 @@ class SparseSystem:
     kind: str                     # 'p1' | 'cr' | 'rt0'
     mesh: object
     constrained: np.ndarray       # bool mask over all DOFs (unit rows)
-    n_flux: int | None = None     # rt0 only: flux DOFs precede cell DOFs
-    # cr only: (order, label), the faces column by column and bottom to top,
-    # and the vertical column of each face; see ``solve_spd``
-    columns: tuple | None = None
 
 
 @dataclass
@@ -274,8 +270,7 @@ def assemble_cr(mesh, f):
     """
     constrained = mesh.faces.boundary.copy()
     matrix, rhs = _cr_matrix(mesh, f, constrained)
-    return SparseSystem(matrix, rhs, "cr", mesh, constrained,
-                        columns=_face_columns(mesh))
+    return SparseSystem(matrix, rhs, "cr", mesh, constrained)
 
 
 def rt0_mass_matrix(mesh):
@@ -320,7 +315,7 @@ def assemble_rt0_mixed(mesh, f):
     matrix = sp.bmat([[a_block, b_block.T], [b_block, None]], format="csr")
     rhs = np.concatenate([np.zeros(nf), -f_int])
     constrained = np.zeros(nf + nt, dtype=bool)
-    return SparseSystem(matrix, rhs, "rt0", mesh, constrained, n_flux=nf)
+    return SparseSystem(matrix, rhs, "rt0", mesh, constrained)
 
 
 def _run_krylov(method, system, preconditioner, tol, max_iter):
@@ -428,15 +423,14 @@ def _column_band(matrix, columns):
 def solve_spd(system, tol=1e-10, max_iter=200_000):
     """Preconditioned conjugate gradients for the P1/CR systems.
 
-    A CR system from ``assemble_cr`` carries its vertical face columns, and
-    the preconditioner is the exact solve with the couplings inside each
-    column, plus a diagonal that bounds the couplings between columns
-    (``_column_band``): on the flat boxes of the anisotropic family the
-    strong coupling runs along z, which Jacobi misses, so its iteration
+    The preconditioner follows the system's kind.  For CR it is the exact
+    solve with the couplings inside each vertical face column of the mesh
+    (``_face_columns``), plus a diagonal that bounds the couplings between
+    columns (``_column_band``): on the flat boxes of the anisotropic family
+    the strong coupling runs along z, which Jacobi misses, so its iteration
     count grows with N; the diagonal takes about 30% off the band's
-    iterations at the same cost per apply.  P1 systems, where a column
-    version measured slower than Jacobi, and systems built without columns
-    keep Jacobi.
+    iterations at the same cost per apply.  P1 keeps Jacobi, which measured
+    faster there than a column version.
     ``solve_info`` names the preconditioner that ran and the band's
     half-width (0 for Jacobi).
 
@@ -445,14 +439,14 @@ def solve_spd(system, tol=1e-10, max_iter=200_000):
     """
     if system.kind not in ("p1", "cr"):
         raise ValueError(f"solve_spd expects a p1 or cr system, got {system.kind!r}")
-    if system.columns is None:
-        name, width = "jacobi", 0
-        precond = sp.diags(1.0 / system.matrix.diagonal())
-    else:
+    if system.kind == "cr":
         name = "column-band"
-        apply, width = _column_band(system.matrix, system.columns)
+        apply, width = _column_band(system.matrix, _face_columns(system.mesh))
         precond = spla.LinearOperator(system.matrix.shape, matvec=apply,
                                       dtype=float)
+    else:
+        name, width = "jacobi", 0
+        precond = sp.diags(1.0 / system.matrix.diagonal())
     x, info = _run_krylov(spla.cg, system, precond, tol, max_iter)
     info.update(preconditioner=name, bandwidth=width)
     return Field(system.kind, system.mesh, x, solve_info=info)
@@ -466,7 +460,7 @@ def solve_saddle(system, tol=1e-10, max_iter=200_000):
     """
     if system.kind != "rt0":
         raise ValueError(f"solve_saddle expects an rt0 system, got {system.kind!r}")
-    nf = system.n_flux
+    nf = system.mesh.faces.n_faces
     diag = system.matrix.diagonal()[:nf]
     vols = element_volumes(system.mesh)
     precond = sp.diags(np.concatenate([1.0 / diag, 1.0 / vols]))

@@ -17,22 +17,13 @@ def case():
 
 
 def solve_family(element, pairs, tol=1e-10):
-    """Solve the benchmark problem on each mesh; returns per-row dicts."""
+    """One ``converge_row`` of the benchmark problem per mesh; per-row dicts."""
     rows = []
     for m, n in pairs:
         mesh = af.generate_aniso_cube(m, n)
-        if element == "p1":
-            sys_ = af.assemble_p1(mesh, CASE.f)
-        else:
-            sys_ = af.assemble_cr(mesh, CASE.f)
-        field = af.solve_spd(sys_, tol=tol)
-        # one sweep for both norms, the bits of the two separate calls
-        err_h1, err_l2 = af.error_norms(mesh, field, CASE.solution)
-        rows.append({
-            "M": m, "N": n, "mesh": mesh, "field": field,
-            "err_h1": err_h1 / CASE.hess_diag_l2,
-            "err_l2": err_l2 / CASE.hess_diag_l2,
-        })
+        field, _, err_h1, err_l2 = af.converge_row(element, mesh, CASE, tol=tol)
+        rows.append({"M": m, "N": n, "mesh": mesh, "field": field,
+                     "err_h1": err_h1, "err_l2": err_l2})
     return rows
 
 
@@ -54,6 +45,16 @@ def p1_gamma15():
 @pytest.fixture(scope="session")
 def p1_gamma20():
     return solve_family("p1", PAIRS_GAMMA20)
+
+
+@pytest.fixture(scope="session")
+def rt_gamma15():
+    return solve_family("rt", PAIRS_GAMMA15)
+
+
+@pytest.fixture(scope="session")
+def rt_gamma20():
+    return solve_family("rt", PAIRS_GAMMA20[:2])
 
 
 def random_tet(rng, min_volume=1e-3):

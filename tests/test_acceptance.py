@@ -152,3 +152,16 @@ def test_criterion_7_structural_reproduction():
                 assert mesh.faces.n_faces == faces
                 checked += 1
     report(7, f"12 table rows, {checked} meshes instantiated")
+
+
+def test_criterion_8_rt_rates(rt_gamma15, rt_gamma20):
+    # first-order flux (err_h1) and cell (err_l2) errors on both families;
+    # no published RT0 table exists, so the band comes from the theory
+    detail = []
+    for gamma, rows in [(1.5, rt_gamma15), (2.0, rt_gamma20)]:
+        r_h1, r_l2 = _rates(rows)
+        for r in r_h1 + r_l2:
+            assert abs(r - 1.0) <= 0.1
+        detail.append(f"gamma={gamma} r_h1={['%.3f' % v for v in r_h1]}, "
+                      f"r_l2={['%.3f' % v for v in r_l2]}")
+    report(8, "; ".join(detail))

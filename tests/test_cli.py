@@ -12,7 +12,8 @@ import pytest
 
 import anisofem as af
 from anisofem import analysis, cli
-from anisofem.cli import (ConfigError, DEFAULT_PAIRS, main, select_pairs)
+from anisofem.cli import (CONVERGE_HEADER, ConfigError, DEFAULT_PAIRS, main,
+                          select_pairs)
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 DATA = Path(__file__).resolve().parent / "data"
@@ -101,12 +102,11 @@ def test_converge_rt_matches_saddle_oracle(capsys, monkeypatch):
         mesh = af.generate_aniso_cube(m, n)
         direct = af.solve_saddle(af.assemble_rt0_mixed(mesh, case.f), tol=1e-12)
         assert int(row[5]) == len(direct.coeffs) + len(direct.cell_coeffs)
-        np.testing.assert_allclose(
-            float(row[6]), af.broken_h1_error(mesh, direct, case.grad_u)
-            / case.hess_diag_l2, rtol=1e-8, atol=0.0)
-        np.testing.assert_allclose(
-            float(row[8]), af.l2_error(mesh, direct, case.u) / case.hess_diag_l2,
-            rtol=1e-8, atol=0.0)
+        err_h1, err_l2 = af.error_norms(mesh, direct, case.solution)
+        np.testing.assert_allclose(float(row[6]), err_h1 / case.hess_diag_l2,
+                                   rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(float(row[8]), err_l2 / case.hess_diag_l2,
+                                   rtol=1e-8, atol=0.0)
 
 
 def test_converge_rejects_odd_m(capsys, tmp_path):
@@ -299,6 +299,18 @@ def test_converge_out_and_vtk(tmp_path, capsys):
     assert code == 0
     assert out_path.read_text().startswith("M,N,")
     assert (tmp_path / "mesh.M2N2.vtk").exists()
+
+
+def test_converge_unwritable_vtk_exits_2(tmp_path, capsys):
+    # the mesh file's path is taken by a directory: one line, no traceback,
+    # after the header already written
+    (tmp_path / "mesh.M2N2.vtk").mkdir()
+    code, out, err = run(capsys, ["converge", "--element", "cr", "--pairs", "2:2",
+                                  "--vtk", str(tmp_path / "mesh")])
+    assert code == 2
+    assert out == CONVERGE_HEADER + "\n"
+    assert err.startswith("error: cannot write --vtk file")
+    assert len(err.splitlines()) == 1
 
 
 def test_interp_demo_default(capsys):

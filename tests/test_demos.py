@@ -6,8 +6,8 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
-# 04_poisson_convergence solves up to 672k DOFs and is exercised through the
-# acceptance fixtures instead
+# 04_poisson_convergence solves up to 672k DOFs; its rows come from
+# ``converge_row``, which the acceptance fixtures run on the same meshes
 FAST_DEMOS = ["01_mesh_family.py", "02_quadrature_rules.py",
               "03_interpolation_operators.py", "05_marini_equivalence.py"]
 

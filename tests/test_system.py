@@ -236,7 +236,7 @@ def test_solve_spd_small_systems():
     mesh = af.generate_aniso_cube(2, 2)
     base = af.assemble_cr(mesh, CASE.f)
     identity = af.SparseSystem(sp.identity(5, format="csr"),
-                               np.arange(5.0), "cr", mesh,
+                               np.arange(5.0), "p1", mesh,
                                np.zeros(5, dtype=bool))
     assert np.allclose(af.solve_spd(identity).coeffs, np.arange(5.0))
     two = af.SparseSystem(sp.csr_matrix(np.array([[2., 1], [1, 2]])),
@@ -292,7 +292,8 @@ def test_compensated_column_band_dominates_the_matrix(mesh):
     # narrow bins, so the band drops more couplings there
     mesh = jittered_cube(4, 8) if mesh == "jittered" else af.generate_aniso_cube(4, 8)
     system = af.assemble_cr(mesh, CASE.f)
-    apply, _ = af.system._column_band(system.matrix, system.columns)
+    columns = af.system._face_columns(mesh)
+    apply, _ = af.system._column_band(system.matrix, columns)
     n = system.matrix.shape[0]
     precond = apply(np.eye(n))
     # M = L L^T, and L^T A L has the eigenvalues of M A
@@ -303,7 +304,7 @@ def test_compensated_column_band_dominates_the_matrix(mesh):
     assert eig.max() <= 1.0 + 1e-10
     # M inverts B~ formed entry by entry: a_ij inside a column, and
     # d_i = sum over j outside of |a_ij| sqrt(a_jj / a_ii)
-    label = system.columns[1]
+    label = columns[1]
     inside = label[:, None] == label[None, :]
     w = np.sqrt(np.diag(dense))
     d = (np.abs(np.where(inside, 0.0, dense)) @ w) / w
@@ -315,7 +316,7 @@ def test_compensated_column_band_dominates_the_matrix(mesh):
 def test_face_columns_partition_the_faces():
     m, n = 4, 16
     mesh = af.generate_aniso_cube(m, n)
-    order, label = af.assemble_cr(mesh, CASE.f).columns
+    order, label = af.system._face_columns(mesh)
     nf = mesh.faces.n_faces
     # a permutation whose columns are contiguous runs, each bottom to top
     assert np.array_equal(np.sort(order), np.arange(nf))
@@ -349,7 +350,7 @@ def test_cr_column_preconditioner_off_the_grid():
     mesh = jittered_cube(4, 16)
     assert af.validate_conformity(mesh).ok
     system = af.assemble_cr(mesh, CASE.f)
-    assert len(np.unique(system.columns[1])) > 24  # 24 bins on the grid
+    assert len(np.unique(af.system._face_columns(mesh)[1])) > 24  # 24 on the grid
     field = af.solve_spd(system)
     assert field.solve_info["preconditioner"] == "column-band"
     assert field.solve_info["residual"] <= 1e-10
@@ -362,9 +363,6 @@ def test_solve_info_names_the_preconditioner():
     assert (cr["preconditioner"], cr["bandwidth"]) == ("column-band", 5)
     p1 = af.solve_spd(af.assemble_p1(mesh, CASE.f)).solve_info
     assert (p1["preconditioner"], p1["bandwidth"]) == ("jacobi", 0)
-    hand = af.SparseSystem(sp.identity(3, format="csr"), np.ones(3), "cr",
-                           mesh, np.zeros(3, dtype=bool))
-    assert af.solve_spd(hand).solve_info["preconditioner"] == "jacobi"
     # the RT0 field reports the CR solve it was rebuilt from
     cr_field, gamma = af.enriched_cr_solve(mesh, CASE.f)
     rt, _ = af.marini_reconstruct(mesh, cr_field, gamma)
@@ -421,7 +419,7 @@ def dense_rt0_oracle(mesh):
 def test_rt0_assembly_matches_two_tet_oracle():
     mesh = two_tet_mesh()
     system = af.assemble_rt0_mixed(mesh, CASE.f)
-    nf = system.n_flux
+    nf = mesh.faces.n_faces
     a, b = dense_rt0_oracle(mesh)
     dense = np.block([[a, b.T], [b, np.zeros((mesh.n_tets, mesh.n_tets))]])
     rng = np.random.default_rng(31)
@@ -444,7 +442,7 @@ def test_saddle_solve_matches_dense_lu():
 def test_saddle_solve_published_mesh():
     mesh = af.generate_aniso_cube(4, 8)
     system = af.assemble_rt0_mixed(mesh, CASE.f)
-    assert system.n_flux == 1440
+    assert mesh.faces.n_faces == 1440
     assert system.matrix.shape == (1440 + 640,) * 2
     field = af.solve_saddle(system, tol=1e-10)
     assert field.solve_info["residual"] <= 1e-10
