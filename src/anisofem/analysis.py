@@ -15,8 +15,8 @@ import numpy as np
 
 from .elements import cr_gradients, cr_interpolate_pointwise, p0_project
 from .equivalence import enriched_cr_solve, marini_reconstruct
-from .geometry import (affine_field, element_volumes, per_block, tet_geometry,
-                       tet_gradients)
+from .geometry import (affine_field, dot, element_volumes, per_block,
+                       tet_geometry, tet_gradients)
 from .quadrature import (map_points, mean, tet_rule_degree2, tet_rule_degree5,
                          tri_rule_midpoint3)
 from .system import Field, assemble_cr, assemble_p1, solve_spd
@@ -53,13 +53,15 @@ def cube_polynomial_case():
     def solution(x, y, z):
         px, py, pz = _p(x), _p(y), _p(z)
         pxy = px * py
-        grad = np.empty(np.shape(pxy) + (3,))
+        grad = np.empty(np.shape(pxy) + (3,), order="F")  # planes, as the points
         np.multiply((1.0 - 2.0 * x) * py, pz, out=grad[..., 0])
         np.multiply(px * (1.0 - 2.0 * y), pz, out=grad[..., 1])
         np.multiply(pxy, 1.0 - 2.0 * z, out=grad[..., 2])
         return pxy * pz, grad
 
-    f = lambda x, y, z: 2.0 * (_p(y) * _p(z) + _p(x) * _p(z) + _p(x) * _p(y))
+    def f(x, y, z):
+        px, py, pz = _p(x), _p(y), _p(z)
+        return 2.0 * (py * pz + px * pz + px * py)
     return ManufacturedCase(solution=solution, f=f, hess_diag_l2=math.sqrt(1 / 75))
 
 
@@ -78,17 +80,15 @@ def error_norms(mesh, field, solution, rule=None):
     def block(s):
         v = mesh.tet_vertices(s)
         points, vols = map_points(rule, v)
-        x = points.reshape(-1, 3)
-        u, grad = solution(x[:, 0], x[:, 1], x[:, 2])
+        u, grad = solution(*np.moveaxis(points, -1, 0))
         h1 = l2 = None
         if u is not None:
             values = (field.cell_coeffs[s, None] if field.space == "rt0"
                       else field.element_values(rule.points, s))
-            l2 = np.einsum("q,tq->t", rule.weights,
-                           (np.reshape(u, points.shape[:-1]) - values) ** 2)
+            l2 = np.einsum("q,tq->t", rule.weights, (u - values) ** 2)
             del u, values  # not held through the larger H1 temporaries
         if grad is not None:
-            diff = np.reshape(grad, points.shape) - (
+            diff = grad - (
                 affine_field(*field.flux_affine(s, v), points) if field.space == "rt0"
                 else field.element_gradients(s, v)[:, None, :])
             h1 = np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
@@ -147,7 +147,7 @@ def field_l2_norm(mesh, field):
 def broken_h1_norm(mesh, field):
     """Broken H1 seminorm of a piecewise-linear field (exact)."""
     g = field.element_gradients()
-    return math.sqrt(float(element_volumes(mesh) @ np.einsum("td,td->t", g, g)))
+    return math.sqrt(float(element_volumes(mesh) @ dot(g, g)))
 
 
 def discrete_poincare_ratio(mesh, field):

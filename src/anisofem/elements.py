@@ -12,7 +12,7 @@ psi_i = |F_i|/(3|T|) (x - x_i), is the affine sigma = a x - b of
 
 import numpy as np
 
-from .geometry import (LOCAL_FACES, affine_field, barycentric_coords,
+from .geometry import (LOCAL_FACES, affine_field, barycentric_coords, dot,
                        face_geometry, per_block, rt0_affine)
 from .quadrature import mean, tet_rule_degree5, tri_rule_midpoint3
 
@@ -63,8 +63,7 @@ def rt_interpolate(vertices, v):
     """Raviart-Thomas coefficients (..., 4): the face means of ``v`` (as in
     ``cr_interpolate``) dotted with the outward face normals."""
     vertices = np.asarray(vertices, dtype=float)
-    return np.einsum("...id,...id->...i", cr_interpolate(vertices, v),
-                     face_geometry(vertices)[1])
+    return dot(cr_interpolate(vertices, v), face_geometry(vertices)[1])
 
 
 def cr_eval(vertices, coeffs, points):

@@ -27,8 +27,9 @@ def bubble_spread(vertices):
     """L: sum of squared vertex distances to the barycentre, per tet of a
     stack (..., 4, 3)."""
     vertices = np.asarray(vertices, dtype=float)
-    centre = vertices.mean(axis=-2, keepdims=True)
-    return ((vertices - centre) ** 2).sum(axis=(-2, -1))
+    squares = (vertices - vertices.mean(axis=-2, keepdims=True)) ** 2
+    # the 12 squares of a tet summed in C order, in any layout of the stack
+    return squares.reshape(squares.shape[:-2] + (12,)).sum(axis=-1)
 
 
 def bubble_eval(vertices, points):
@@ -52,11 +53,9 @@ def bubble_identities(vertices):
     the returned values must equal 2L/5 and 144L/5 exactly.
     """
     vertices = np.asarray(vertices, dtype=float)
-    shape = vertices.shape[:-2] + (-1, 3)
 
     def per_tet(fn):
-        # the rule's points arrive flat, tet after tet
-        return lambda x, y, z: fn(np.stack([x, y, z], axis=-1).reshape(shape)).ravel()
+        return lambda x, y, z: fn(np.stack([x, y, z], axis=-1))
 
     return (mean(_RULE2, vertices, per_tet(lambda p: bubble_eval(vertices, p))),
             mean(_RULE2, vertices, per_tet(
@@ -98,7 +97,7 @@ def marini_reconstruct(mesh, cr_field, gamma):
 
     def block(s):
         v = mesh.tet_vertices(s)
-        return (slope[s, None] * v.mean(axis=1) - cr_field.element_gradients(s),
+        return (slope[s, None] * v.mean(axis=1) - cr_field.element_gradients(s, v),
                 cr_field.element_coeffs(s).sum(axis=1) / 4.0
                 + 0.4 * gamma[s] * bubble_spread(v))
 

@@ -4,7 +4,9 @@ face geometry, the RT0 local field and the edge-pair anisotropy measure.
 Each per-element formula is written once, over stacks of vertex arrays of
 shape (..., 4, 3); per-tet code passes a single (4, 3) array, and the
 mesh-level functions apply it to ``mesh.tet_vertices(block)`` for one block of
-tets at a time through ``per_block``.
+tets at a time through ``per_block``.  That gather has the tet index
+innermost (coordinate planes (3, 4, nb)), the kernels keep it in their
+outputs, and sums run in a fixed order, so a C-ordered stack gives the same bits.
 
 Every per-simplex decision is made here: ``simplex_measure`` is the one
 formula for |T| and |F|, and one private check refuses a simplex whose
@@ -73,21 +75,26 @@ def per_block(n, kernel):
 
 def cross(a, b, out=None):
     """a x b over the last axis, component by component, into ``out`` (a new
-    array by default)."""
+    array in the layout of ``a`` by default)."""
     if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)),
-                       dtype=np.result_type(a, b))
+        out = np.empty_like(a, shape=np.broadcast_shapes(np.shape(a), np.shape(b)),
+                            dtype=np.result_type(a, b))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[..., j], b[..., k], out=out[..., i])
         out[..., i] -= a[..., k] * b[..., j]
     return out
 
 
+def dot(a, b):
+    """a . b over the last axis of 3 as (a0 b0 + a2 b2) + a1 b1 in any layout:
+    the order of numpy's einsum on contiguous rows, so the bits held."""
+    return (a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]
+
+
 def signed_volumes(verts):
     """Signed volumes of tets given by their vertices (..., 4, 3), shape (...)."""
     d = verts[..., 1:, :] - verts[..., :1, :]
-    return np.einsum("...j,...j->...", cross(d[..., 0, :], d[..., 1, :]),
-                     d[..., 2, :]) / 6.0
+    return dot(cross(d[..., 0, :], d[..., 1, :]), d[..., 2, :]) / 6.0
 
 
 def simplex_measure(vertices):
@@ -122,10 +129,10 @@ def tet_gradients(verts):
     d1 x d2) / det and grad lambda_0 = -their sum.  A degenerate tet raises
     ValueError before the division."""
     d1, d2, d3 = (verts[..., j, :] - verts[..., 0, :] for j in (1, 2, 3))
-    g = np.empty(d1.shape[:-1] + (4, 3))
+    g = np.empty_like(verts, dtype=float)
     for row, (a, b) in enumerate(((d2, d3), (d3, d1), (d1, d2)), start=1):
         cross(a, b, out=g[..., row, :])
-    det = np.einsum("...j,...j->...", g[..., 3, :], d3)
+    det = dot(g[..., 3, :], d3)
     _refuse_degenerate(np.abs(det) / 6.0, "tet")
     g[..., 1:, :] /= det[..., None, None]
     np.negative(g[..., 1, :] + g[..., 2, :] + g[..., 3, :], out=g[..., 0, :])
@@ -144,6 +151,13 @@ def barycentric_coords(verts, points):
     return np.atleast_2d(points) @ np.swapaxes(g, -1, -2) + c[..., None, :]
 
 
+def from_barycentric(bary, verts):
+    """Points (..., n, 3) at barycentric coordinates ``bary`` (n, k) in ``verts``
+    (..., k, 3): a product per coordinate plane, the bits of ``bary @ verts``."""
+    planes = bary @ np.reshape(verts.T, (3, verts.shape[-2], -1))
+    return planes.reshape(planes.shape[:2] + verts.shape[-3::-1]).T
+
+
 def face_geometry(verts):
     """Areas, outward unit normals and centroids of the 4 faces of each tet.
 
@@ -152,15 +166,18 @@ def face_geometry(verts):
     one whose cross product underflows on an extreme sliver) or a tet with no
     volume to point out of raises ValueError before anything divides by it.
     """
-    tris = verts[..., LOCAL_FACES, :]
+    tris = _faces(verts)
     areas = _refuse_degenerate(simplex_measure(tris), "face")
     checked_measure(verts)
     a, b, c = (tris[..., j, :] for j in range(3))
     normals = cross(b - a, c - a) / (2.0 * areas[..., None])
-    inward = np.einsum("...j,...j->...", normals,
-                       verts.mean(axis=-2, keepdims=True) - a) > 0
-    normals[inward] *= -1.0
+    normals[dot(normals, verts.mean(axis=-2, keepdims=True) - a) > 0] *= -1.0
     return areas, normals, (a + b + c) / 3.0
+
+
+def _faces(verts):
+    # the triangles (..., 4, 3, 3) of the local faces, gathered plane by plane
+    return np.take(verts.T, LOCAL_FACES.T, axis=1).T
 
 
 def rt0_scales(areas, volumes):
@@ -178,7 +195,7 @@ def rt0_affine(verts, coeffs):
     and b (..., 3).  A degenerate tet raises ValueError.
     """
     verts = np.asarray(verts, dtype=float)
-    areas = _refuse_degenerate(simplex_measure(verts[..., LOCAL_FACES, :]), "face")
+    areas = _refuse_degenerate(simplex_measure(_faces(verts)), "face")
     c = coeffs * rt0_scales(areas, checked_measure(verts))
     return c.sum(axis=-1), np.einsum("...i,...id->...d", c, verts)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (LOCAL_FACES, affine_field, face_geometry, per_block,
+from .geometry import (LOCAL_FACES, affine_field, dot, face_geometry, per_block,
                        signed_volumes)
 
 # Box corners are indexed b = di + 2*dj + 4*dk.  Each row below is one tet of
@@ -88,11 +88,10 @@ class Mesh:
             self._faces = build_face_table(self)
         return self._faces
 
-    def tet_vertices(self, index=None):
-        """Vertex coordinates of one tet (4, 3) or of all tets (nt, 4, 3)."""
-        if index is None:
-            return self.vertices[self.tets]
-        return self.vertices[self.tets[index]]
+    def tet_vertices(self, index=slice(None)):
+        """Vertex coordinates of one tet (4, 3) or of the tets ``index`` (nb,
+        4, 3), all by default: a view of planes (3, 4, nb), tet index innermost."""
+        return np.take(self.vertices.T, self.tets[index].T, axis=1).T
 
 
 def generate_aniso_cube(M, N):
@@ -136,7 +135,7 @@ def generate_aniso_cube(M, N):
         np.repeat(corners[:, None, :], 5, axis=1), pattern, axis=2
     ).reshape(-1, 4)
 
-    flip = signed_volumes(vertices[tets]) < 0
+    flip = signed_volumes(np.take(vertices.T, tets.T, axis=1).T) < 0  # as tet_vertices
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
     return Mesh(vertices, tets)
 
@@ -150,10 +149,16 @@ def build_face_table(mesh):
     nt = mesh.n_tets
     if nt == 0:
         raise ValueError("empty mesh")
-    tris = np.sort(mesh.tets[:, LOCAL_FACES], axis=2).reshape(-1, 3)
-    # one stable sort of the 4 nt slots: equal triples end up adjacent, lower
+    # each of the 4 nt slots' sorted vertex triple (min, sum - min - max, max)
+    a, b, c = (mesh.tets[:, LOCAL_FACES[:, j]].ravel() for j in range(3))
+    lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    mid = a + b + c - lo - hi
+    del a, b, c
+    # one stable sort of the slots: equal triples end up adjacent, lower
     # slot first, and the groups come out in lexicographic order
-    order = np.lexsort(tris.T[::-1])
+    order = np.lexsort((hi, mid, lo))
+    tris = np.stack([lo, mid, hi], axis=1)
+    del lo, mid, hi
     ranked = tris[order]
     first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
     start = np.flatnonzero(first)
@@ -195,7 +200,7 @@ def face_traces(mesh, a, b):
     def block(s):
         _, normals, centroids = face_geometry(mesh.tet_vertices(s))
         sigma = affine_field(a[s], b[s], centroids)
-        return np.einsum("tid,tid->ti", sigma, normals) * faces.tet_face_signs[s]
+        return dot(sigma, normals) * faces.tet_face_signs[s]
 
     trace = per_block(mesh.n_tets, block).ravel()
     inner = faces.sides[~faces.boundary]

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .geometry import checked_measure, simplex_measure  # noqa: F401 (re-exported)
+from .geometry import checked_measure, from_barycentric, simplex_measure  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ def map_points(rule, vertices):
     if vertices.shape[-2:] != (rule.points.shape[1], 3):
         raise ValueError(f"rule with {rule.points.shape[1]} barycentric coordinates "
                          f"does not fit vertices of shape {vertices.shape}")
-    measure = checked_measure(vertices)
-    return rule.points @ vertices, measure
+    return from_barycentric(rule.points, vertices), checked_measure(vertices)
 
 
 def sample(rule, vertices, f):
@@ -83,22 +82,20 @@ def sample(rule, vertices, f):
     shape; returned with the measure of each simplex (the stack shape), which
     the degeneracy check computes anyway.
 
-    ``f(x, y, z)`` receives flat 1-D coordinate arrays: the rule's points on
-    the first simplex, then on the next, in C order over the stack.  Its
-    values may be scalar or vector-valued, with the points along their first
-    axis.
+    ``f(x, y, z)`` receives three coordinate arrays of the stack shape then
+    one entry per point, with the simplex index innermost in memory, and
+    returns values of that shape, then the value shape.
     """
     points, measure = map_points(rule, vertices)
-    x = points.reshape(-1, 3)
-    values = np.asarray(f(x[:, 0], x[:, 1], x[:, 2]), dtype=float)
-    return (values.reshape(points.shape[:-1] + values.shape[1:]), measure)
+    return np.asarray(f(*np.moveaxis(points, -1, 0)), dtype=float), measure
 
 
 def _weighted_sum(values, weights, axis):
-    # einsum sums each simplex in one order wherever it sits in the stack, so
-    # a blocked pass gives the same bits; BLAS (tensordot) does not
+    # einsum on C-ordered values sums each simplex in one order wherever it
+    # sits in the stack or memory, so a blocked pass gives the same bits
     axes = list(range(values.ndim))
-    return np.einsum(values, axes, weights, [axis], axes[:axis] + axes[axis + 1:])[()]
+    return np.einsum(np.ascontiguousarray(values), axes, weights, [axis],
+                     axes[:axis] + axes[axis + 1:])[()]
 
 
 def mean(rule, vertices, f):

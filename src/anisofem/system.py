@@ -34,9 +34,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .elements import cr_gradients, cr_shape
-from .geometry import (affine_field, element_volumes, local_face_geometry,
-                       per_block, rt0_affine, rt0_scales, simplex_measure,
-                       tet_gradients)
+from .geometry import (affine_field, element_volumes, from_barycentric,
+                       local_face_geometry, per_block, rt0_affine, rt0_scales,
+                       simplex_measure, tet_gradients)
 from .quadrature import integrate, sample, tet_rule_degree2, tet_rule_degree5
 
 
@@ -76,12 +76,11 @@ class Field:
     solve_info: dict = field(default_factory=dict)
 
     def element_coeffs(self, tets=slice(None)):
-        """Per-element DOF values, (nt, 4)."""
-        if self.space == "p1":
-            return self.coeffs[self.mesh.tets[tets]]
-        if self.space == "cr":
-            return self.coeffs[self.mesh.faces.tet_faces[tets]]
-        raise ValueError(f"no scalar element coefficients for space {self.space!r}")
+        """Per-element DOF values, (nt, 4), with the tet index innermost."""
+        if self.space not in ("p1", "cr"):
+            raise ValueError(f"no scalar element coefficients for space {self.space!r}")
+        dofs = self.mesh.tets if self.space == "p1" else self.mesh.faces.tet_faces
+        return self.coeffs[dofs[tets].T].T
 
     def element_gradients(self, tets=slice(None), verts=None):
         """Constant per-element gradients, (nt, 3).  ``verts``, the vertices
@@ -95,14 +94,16 @@ class Field:
         return np.einsum("ti,tid->td", self.element_coeffs(tets), grads)
 
     def element_values(self, bary, tets=slice(None)):
-        """Values at barycentric points ``bary`` (nq, 4) on every element."""
+        """Values at barycentric points ``bary`` (nq, 4) on every element, (nt,
+        nq), summed as (t0 + t2) + (t1 + t3), as einsum did on C-ordered rows."""
         basis = np.asarray(bary) if self.space == "p1" else cr_shape(bary)
-        return np.einsum("qi,ti->tq", basis, self.element_coeffs(tets))
+        t = [basis[:, i, None] * c for i, c in enumerate(self.element_coeffs(tets).T)]
+        return ((t[0] + t[2]) + (t[1] + t[3])).T
 
     def flux_values(self, bary, tets=slice(None)):
         """RT0 vector values at barycentric points, (nt, nq, 3)."""
         v = self.mesh.tet_vertices(tets)
-        return affine_field(*self.flux_affine(tets, v), np.asarray(bary) @ v)
+        return affine_field(*self.flux_affine(tets, v), from_barycentric(bary, v))
 
     def flux_divergence(self):
         """Constant per-element divergence of an rt0 field, (nt,)."""
@@ -116,8 +117,8 @@ class Field:
             raise ValueError("fluxes only exist for rt0 fields")
         faces = self.mesh.faces
         return rt0_affine(self.mesh.tet_vertices(tets) if verts is None else verts,
-                          self.coeffs[faces.tet_faces[tets]]
-                          * faces.tet_face_signs[tets])
+                          (self.coeffs[faces.tet_faces[tets].T]
+                           * faces.tet_face_signs[tets].T).T)
 
 
 def _scatter_square(local, dofs, ndof):
@@ -151,7 +152,7 @@ def _local_kernel(kind, mesh, f, constrained):
             grads = cr_gradients(grads)
         if callable(f):
             values, vols = sample(rule, v, f)  # vols = simplex_measure(v)
-            loads = vols[:, None] * np.einsum("tq,qi->ti", values, weighted)
+            loads = vols[:, None] * np.einsum("tq,qi->ti", values, weighted, order="F")
         else:
             vols = simplex_measure(v)
             loads = np.repeat((vols * np.asarray(f[s], dtype=float) / 4.0)[:, None],
@@ -281,7 +282,7 @@ def rt0_mass_matrix(mesh):
     mapping of the rule's points.
     """
     faces = mesh.faces
-    v = mesh.tet_vertices()
+    v = np.ascontiguousarray(mesh.tet_vertices())  # the oracle's sums run in C order
     vols = element_volumes(mesh)
     rule = tet_rule_degree2()
     x = np.einsum("qi,tid->tqd", rule.points, v)
@@ -440,6 +441,9 @@ def solve_spd(system, tol=1e-10, max_iter=200_000):
     if system.kind not in ("p1", "cr"):
         raise ValueError(f"solve_spd expects a p1 or cr system, got {system.kind!r}")
     if system.kind == "cr":
+        if system.matrix.shape[0] != system.mesh.faces.n_faces:
+            raise ValueError(f"cr system of size {system.matrix.shape[0]} on a mesh "
+                             f"with {system.mesh.faces.n_faces} faces")
         name = "column-band"
         apply, width = _column_band(system.matrix, _face_columns(system.mesh))
         precond = spla.LinearOperator(system.matrix.shape, matvec=apply,

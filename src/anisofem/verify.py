@@ -38,9 +38,8 @@ def identity_checks(flip_rt_signs=False, bubble_stiffness=72.0):
     tets = np.concatenate([meshgen.generate_aniso_cube(4, 8).tet_vertices(),
                            random_tets(20)])
     spread = equivalence.bubble_spread(tets)
-    face_means = elements.cr_interpolate(
-        tets, lambda x, y, z: equivalence.bubble_eval(
-            tets, np.stack([x, y, z], axis=-1).reshape(len(tets), -1, 3)).ravel())
+    face_means = elements.cr_interpolate(tets, lambda x, y, z: equivalence.bubble_eval(
+        tets, np.stack([x, y, z], axis=-1).reshape(len(tets), -1, 3)).reshape(x.shape))
     mean, grad_sq = equivalence.bubble_identities(tets)
     for name, dev in [
             ("bubble_face_means", np.abs(face_means).max(axis=1) / spread),
@@ -116,7 +115,7 @@ def _exactness_deviation(rule, simplices):
         out = lam[..., :1] ** exponents[:, 0]
         for i in range(1, k):
             out *= lam[..., i:i + 1] ** exponents[:, i]
-        return out.reshape(len(x), -1)
+        return out
 
     # int over S of prod lambda_i^e_i = (prod e_i!) d! |S| / (sum e_i + d)!
     moments = [math.prod(map(math.factorial, e)) * math.factorial(k - 1)
@@ -128,13 +127,13 @@ def _exactness_deviation(rule, simplices):
 
 def _random_quadratic_field(c):
     """Quadratic vector fields with coefficients c (nt, 3, 10), one per tet of
-    a stack, and their divergences, as integrands over that stack; the flat
-    coordinates are regrouped per tet."""
+    a stack, and their divergences, as integrands over that stack; the
+    coordinates of each tet are flattened into one row."""
     def field(x, y, z):
-        x, y, z = (t.reshape(len(c), -1) for t in (x, y, z))
-        basis = np.stack([np.ones_like(x), x, y, z, x * x, y * y, z * z,
-                          x * y, x * z, y * z], axis=-1)
-        return (basis @ c.transpose(0, 2, 1)).reshape(-1, 3)
+        u, v, w = (t.reshape(len(c), -1) for t in (x, y, z))
+        basis = np.stack([np.ones_like(u), u, v, w, u * u, v * v, w * w,
+                          u * v, u * w, v * w], axis=-1)
+        return (basis @ c.transpose(0, 2, 1)).reshape(x.shape + (3,))
 
     def div_field(x, y, z):
         x, y, z = (t.reshape(len(c), -1) for t in (x, y, z))
@@ -142,8 +141,7 @@ def _random_quadratic_field(c):
         # d/dx of component 0 plus d/dy of 1 plus d/dz of 2
         return (k[:, 0, 1] + 2 * k[:, 0, 4] * x + k[:, 0, 7] * y + k[:, 0, 8] * z
                 + k[:, 1, 2] + 2 * k[:, 1, 5] * y + k[:, 1, 7] * x + k[:, 1, 9] * z
-                + k[:, 2, 3] + 2 * k[:, 2, 6] * z + k[:, 2, 8] * x + k[:, 2, 9] * y
-                ).ravel()
+                + k[:, 2, 3] + 2 * k[:, 2, 6] * z + k[:, 2, 8] * x + k[:, 2, 9] * y)
 
     return field, div_field
 
@@ -189,6 +187,6 @@ def _duality_deviation(mesh, rng, flip_rt_signs=False):
         div = 3.0 * a
         grad_psi = np.einsum("ti,tid->td", psi[faces.tet_faces], grads)
         psi_mid = psi[faces.tet_faces].sum(axis=1) / 4.0
-        totals.append(vols @ (np.einsum("td,td->t", v_mid, grad_psi)
+        totals.append(vols @ (geometry.dot(v_mid, grad_psi)
                               + div * psi_mid))
     return float(np.max(np.abs(totals)))

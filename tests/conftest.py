@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import anisofem as af
+from anisofem.mesh import Mesh
 
 CASE = af.cube_polynomial_case()
 
@@ -62,3 +63,14 @@ def random_tet(rng, min_volume=1e-3):
         v = rng.uniform(-1.0, 1.0, (4, 3))
         if abs(np.linalg.det(v[1:] - v[0])) / 6.0 > min_volume:
             return v
+
+
+def jittered_cube(m, n, seed=35):
+    """generate_aniso_cube(m, n) with every interior vertex moved by up to a
+    fifth of the box size along each axis: no longer a tensor grid."""
+    mesh = af.generate_aniso_cube(m, n)
+    v = mesh.vertices.copy()
+    inner = ((v > 0) & (v < 1)).all(axis=1)
+    rng = np.random.default_rng(seed)
+    v[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 3)) * [1 / m, 1 / m, 1 / n]
+    return Mesh(v, mesh.tets)

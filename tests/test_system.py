@@ -12,7 +12,7 @@ from anisofem.mesh import LOCAL_FACES, Mesh
 from anisofem.quadrature import sample
 from anisofem.system import _cr_matrix, _local_kernel, _scatter_square
 
-from conftest import CASE
+from conftest import CASE, jittered_cube
 
 
 def two_tet_mesh():
@@ -247,23 +247,22 @@ def test_solve_spd_small_systems():
     assert field.solve_info["iterations"] < 5000
 
 
+def test_solve_spd_refuses_cr_system_not_sized_to_its_mesh():
+    # the column band takes its face columns from the mesh, so a CR system of
+    # another size is refused with both sizes, before the band is built
+    mesh = af.generate_aniso_cube(2, 2)
+    identity = af.SparseSystem(sp.identity(3, format="csr"), np.ones(3), "cr",
+                               mesh, np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError, match=r"size 3 on a mesh with 104 faces"):
+        af.solve_spd(identity)
+
+
 def test_solve_spd_reports_nonconvergence():
     mesh = af.generate_aniso_cube(4, 8)
     system = af.assemble_cr(mesh, CASE.f)
     with pytest.raises(af.SolverError) as err:
         af.solve_spd(system, tol=1e-10, max_iter=3)
     assert err.value.residual > 1e-10
-
-
-def jittered_cube(m, n, seed=35):
-    """generate_aniso_cube(m, n) with every interior vertex moved by up to a
-    fifth of the box size along each axis: no longer a tensor grid."""
-    mesh = af.generate_aniso_cube(m, n)
-    v = mesh.vertices.copy()
-    inner = ((v > 0) & (v < 1)).all(axis=1)
-    rng = np.random.default_rng(seed)
-    v[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 3)) * [1 / m, 1 / m, 1 / n]
-    return Mesh(v, mesh.tets)
 
 
 def assert_matches_spsolve(system, field):
