@@ -166,7 +166,7 @@ def face_geometry(verts):
     one whose cross product underflows on an extreme sliver) or a tet with no
     volume to point out of raises ValueError before anything divides by it.
     """
-    tris = _faces(verts)
+    tris = gather(verts, LOCAL_FACES)
     areas = _refuse_degenerate(simplex_measure(tris), "face")
     checked_measure(verts)
     a, b, c = (tris[..., j, :] for j in range(3))
@@ -175,9 +175,10 @@ def face_geometry(verts):
     return areas, normals, (a + b + c) / 3.0
 
 
-def _faces(verts):
-    # the triangles (..., 4, 3, 3) of the local faces, gathered plane by plane
-    return np.take(verts.T, LOCAL_FACES.T, axis=1).T
+def gather(points, index):
+    """``points[..., index, :]`` for points (..., m, 3), taken plane by plane:
+    its memory order is the reverse of its axes, the leading axis innermost."""
+    return np.take(points.T, index.T, axis=1).T
 
 
 def rt0_scales(areas, volumes):
@@ -195,7 +196,7 @@ def rt0_affine(verts, coeffs):
     and b (..., 3).  A degenerate tet raises ValueError.
     """
     verts = np.asarray(verts, dtype=float)
-    areas = _refuse_degenerate(simplex_measure(_faces(verts)), "face")
+    areas = _refuse_degenerate(simplex_measure(gather(verts, LOCAL_FACES)), "face")
     c = coeffs * rt0_scales(areas, checked_measure(verts))
     return c.sum(axis=-1), np.einsum("...i,...id->...d", c, verts)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (LOCAL_FACES, affine_field, dot, face_geometry, per_block,
-                       signed_volumes)
+from .geometry import (LOCAL_FACES, affine_field, dot, face_geometry, gather,
+                       per_block, signed_volumes)
 
 # Box corners are indexed b = di + 2*dj + 4*dk.  Each row below is one tet of
 # the 5-tet split (central tet first); _SPLIT_ODD is the mirror image used on
@@ -91,7 +91,7 @@ class Mesh:
     def tet_vertices(self, index=slice(None)):
         """Vertex coordinates of one tet (4, 3) or of the tets ``index`` (nb,
         4, 3), all by default: a view of planes (3, 4, nb), tet index innermost."""
-        return np.take(self.vertices.T, self.tets[index].T, axis=1).T
+        return gather(self.vertices, self.tets[index])
 
 
 def generate_aniso_cube(M, N):
@@ -135,7 +135,7 @@ def generate_aniso_cube(M, N):
         np.repeat(corners[:, None, :], 5, axis=1), pattern, axis=2
     ).reshape(-1, 4)
 
-    flip = signed_volumes(np.take(vertices.T, tets.T, axis=1).T) < 0  # as tet_vertices
+    flip = signed_volumes(gather(vertices, tets)) < 0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
     return Mesh(vertices, tets)
 
