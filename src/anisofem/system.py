@@ -2,15 +2,14 @@
 discretisations of the homogeneous-Dirichlet Poisson problem, with iterative
 solvers.
 
-Assembly is vectorised over blocks of elements.  The P1 matrix, whose entries
-sum the local matrices of many tets, comes from one COO scatter.  The CR
-matrix is built from the face table with no scatter: a face row holds the
-local rows of its two tets, at most 7 distinct entries, written straight
-into an (nf, 8) table that is a CSR matrix as it stands.  Dirichlet
-constraints use symmetric elimination, once, in the block kernel shared by
-both: it zeroes the constrained rows and columns of every local matrix, and
-the assembler puts a unit diagonal on the constrained rows, which keeps the
-P1/CR matrices symmetric positive definite.  The mixed system is the
+Assembly is vectorised over blocks of elements.  One builder forms the P1,
+CR and RT0 mass matrices: each block writes its local rows straight into a
+table that is a CSR matrix as it stands, a DOF's row made of the local rows
+of its tets, and the table sums its duplicates.  Dirichlet constraints use
+symmetric elimination, once, in the P1/CR block kernel: it zeroes the
+constrained rows and columns of every local matrix, and the builder puts a
+unit diagonal on the constrained rows, which keeps the P1/CR matrices
+symmetric positive definite.  The mixed system is the
 symmetric indefinite block matrix [[A, B^T], [B, 0]] over flux and cell
 unknowns; flux DOFs take their orientation from the face table's
 ``tet_face_signs``, so normal continuity holds by construction.
@@ -98,7 +97,10 @@ class Field:
         nq), summed as (t0 + t2) + (t1 + t3), as einsum did on C-ordered rows."""
         basis = np.asarray(bary) if self.space == "p1" else cr_shape(bary)
         t = [basis[:, i, None] * c for i, c in enumerate(self.element_coeffs(tets).T)]
-        return ((t[0] + t[2]) + (t[1] + t[3])).T
+        t[0] += t[2]
+        t[1] += t[3]
+        t[0] += t[1]
+        return t[0].T
 
     def flux_values(self, bary, tets=slice(None)):
         """RT0 vector values at barycentric points, (nt, nq, 3)."""
@@ -119,14 +121,6 @@ class Field:
         return rt0_affine(self.mesh.tet_vertices(tets) if verts is None else verts,
                           (self.coeffs[faces.tet_faces[tets].T]
                            * faces.tet_face_signs[tets].T).T)
-
-
-def _scatter_square(local, dofs, ndof):
-    idx = dofs.astype(np.int32 if ndof < 2**31 else np.int64)
-    rows = np.repeat(idx, 4, axis=1).ravel()
-    cols = np.tile(idx, (1, 4)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(ndof, ndof)).tocsr()
 
 
 def _local_kernel(kind, mesh, f, constrained):
@@ -167,43 +161,55 @@ def _local_kernel(kind, mesh, f, constrained):
     return block
 
 
-def _cr_matrix(mesh, f, constrained):
-    """The CR stiffness matrix as CSR and the load vector, with the
-    symmetric elimination of the faces ``constrained``.
+def _assemble(dofs, order, kernel, constrained):
+    """The global matrix as CSR and the load vector from the block kernel
+    s -> (local rows (nb, 4, 4), loads (nb, 4) or None), whose local rows and
+    columns of the DOFs ``constrained`` are zero; those get a unit diagonal
+    and a zero load.
 
-    A tet whose local face i is face f puts row i of its local matrix into
-    row f of an (nf, 8) table: the first side in slots 0-3, the second in
-    slots 4-7, which stay empty (column nf) on the boundary.  So blocks
-    write their local matrices straight in, and the table is already a CSR
-    matrix.  Sorting its rows sums the diagonal, the one entry with two
-    contributions, as a + b = b + a: the bits a COO scatter gives.
+    Slot 4 t + i, local row i of tet t, belongs to DOF dofs[t, i], and
+    ``order`` lists the slots DOF by DOF, the lower slot first.  Each block
+    writes its local rows and their column ids into a (4 nt, 4) table at the
+    slots' places in ``order``, which makes the table a CSR matrix, and adds
+    its loads to the load vector in slot order.  So a row reaches
+    ``sum_duplicates`` in the order ``coo_tocsr`` gives a scatter of the
+    local matrices, and a load sums as in one ``bincount``: the scatter's
+    bits.  The sums leave the arrays as prefixes of the table; compacting
+    them one at a time, the smaller first, keeps one table array off the
+    peak.
     """
-    faces = mesh.faces
-    nf = faces.n_faces
-    cols = np.full((nf, 8), nf, dtype=np.int32 if 8 * nf < 2**31 else np.int64)
-    table = np.zeros((nf, 8))
-    kernel = _local_kernel("cr", mesh, f, constrained)
+    n, nt = len(constrained), len(dofs)
+    itype = np.int32 if 16 * nt < 2**31 else np.int64
+    place = np.empty(4 * nt, dtype=itype)
+    place[order] = np.arange(4 * nt, dtype=itype)
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(4 * np.bincount(dofs.ravel(), minlength=n), out=indptr[1:])
+    first = indptr[:-1][constrained] // 4  # the place of a constrained DOF's first slot
+    diagonal = first, order[first] & 3
+    del order  # a slot list as long as the table, freed before it fills
+    table = np.empty((4 * nt, 4))
+    cols = np.empty((4 * nt, 4), dtype=itype)
+    rhs = np.zeros(n)
 
     def block(s):
         local, loads = kernel(s)
-        tet_faces = faces.tet_faces[s]
-        half = 2 * tet_faces + (faces.tet_face_signs[s] < 0)
-        table.reshape(2 * nf, 4)[half] = local
-        cols.reshape(2 * nf, 4)[half] = tet_faces[:, None, :]
-        return loads
+        rows = place[4 * s.start:4 * s.stop].reshape(-1, 4)
+        table[rows] = local
+        cols[rows] = dofs[s][:, None, :]
+        if loads is not None:
+            np.add.at(rhs, dofs[s].ravel(), loads.ravel())
+        return ()  # nothing to join
 
-    rhs = np.bincount(faces.tet_faces.ravel(), minlength=nf,
-                      weights=per_block(mesh.n_tets, block).ravel())
-    unit = np.flatnonzero(constrained)
-    table[unit, faces.sides[unit, 0] & 3] = 1.0  # first side's diagonal
-    rhs[unit] = 0.0
-    matrix = sp.csr_matrix(
-        (table.ravel(), cols.ravel(), np.arange(0, 8 * nf + 1, 8, dtype=cols.dtype)),
-        shape=(nf, nf + 1))
+    per_block(nt, block)
+    rhs[constrained] = 0.0
+    table[diagonal] = 1.0
+    matrix = sp.csr_matrix((table.ravel(), cols.ravel(), indptr), shape=(n, n))
+    del table, cols, place
     matrix.sum_duplicates()
     matrix.eliminate_zeros()
-    # dropping column nf, the empty slots, also compacts the arrays
-    return matrix[:, :nf], rhs
+    matrix.indices = matrix.indices.copy()
+    matrix.data = matrix.data.copy()
+    return matrix, rhs
 
 
 def _face_columns(mesh):
@@ -237,23 +243,14 @@ def assemble_p1(mesh, f):
 
     The stiffness integrands are constant, hence exact.  A callable f gives
     the load as the degree-5 quadrature of f phi_i; an (nt,) array of cell
-    means f_T gives f_T times int phi_i = |T|/4.  A vertex entry sums the
-    local matrices of all its tets, scattered once through COO; the local
-    matrices arrive with their boundary rows and columns zeroed, so a
-    boundary row holds only zeros until its unit diagonal is added.
+    means f_T gives f_T times int phi_i = |T|/4.  A vertex row gathers the
+    local rows of all its tets (``_assemble``), its slots found by a stable
+    argsort of the tets' vertex ids.
     """
-    faces = mesh.faces
     constrained = np.zeros(mesh.n_vertices, dtype=bool)
-    constrained[np.unique(faces.vertices[faces.boundary])] = True
-    local, loads = per_block(mesh.n_tets,
-                             _local_kernel("p1", mesh, f, constrained))
-    matrix = _scatter_square(local, mesh.tets, mesh.n_vertices)
-    # before the sum, which sizes its arrays by the entries stored here
-    matrix.eliminate_zeros()
-    matrix = matrix + sp.diags(constrained.astype(float))
-    rhs = np.bincount(mesh.tets.ravel(), weights=loads.ravel(),
-                      minlength=mesh.n_vertices)
-    rhs[constrained] = 0.0
+    constrained[np.unique(mesh.faces.vertices[mesh.faces.boundary])] = True
+    matrix, rhs = _assemble(mesh.tets, np.argsort(mesh.tets.ravel(), kind="stable"),
+                            _local_kernel("p1", mesh, f, constrained), constrained)
     return SparseSystem(matrix, rhs, "p1", mesh, constrained)
 
 
@@ -263,14 +260,14 @@ def assemble_cr(mesh, f):
     theta_i has the same element integral |T|/4 as the barycentric
     coordinates, and int_F theta_i = |F| delta_iF, so constraining boundary
     faces to zero enforces vanishing boundary face means.  f is a callable
-    or an (nt,) array of cell means, as in ``assemble_p1``.
-
-    The matrix is built row by row from the face table (``_cr_matrix``),
-    with no COO scatter: a row has at most 7 entries, and its CSR has the
-    same arrays, bit for bit, as the scatter with symmetric elimination.
+    or an (nt,) array of cell means, as in ``assemble_p1``.  A face row
+    gathers the local rows of its one or two sides (``_assemble``), in the
+    face table's slot order, at most 7 distinct entries.
     """
-    constrained = mesh.faces.boundary.copy()
-    matrix, rhs = _cr_matrix(mesh, f, constrained)
+    faces = mesh.faces
+    constrained = faces.boundary.copy()
+    matrix, rhs = _assemble(faces.tet_faces, faces.sides[faces.sides >= 0],
+                            _local_kernel("cr", mesh, f, constrained), constrained)
     return SparseSystem(matrix, rhs, "cr", mesh, constrained)
 
 
@@ -290,7 +287,9 @@ def rt0_mass_matrix(mesh):
     gram = np.einsum("q,tqid,tqjd->tij", rule.weights, d, d)
     coef = faces.tet_face_signs * rt0_scales(local_face_geometry(mesh)[0], vols)
     local = vols[:, None, None] * coef[:, :, None] * coef[:, None, :] * gram
-    return _scatter_square(local, faces.tet_faces, faces.n_faces)
+    return _assemble(faces.tet_faces, faces.sides[faces.sides >= 0],
+                     lambda s: (local[s], None),
+                     np.zeros(faces.n_faces, dtype=bool))[0]
 
 
 def assemble_rt0_mixed(mesh, f):

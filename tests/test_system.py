@@ -7,10 +7,10 @@ import scipy.sparse.linalg as spla
 
 import anisofem as af
 from anisofem.elements import cr_gradients, cr_shape
-from anisofem.geometry import per_block, signed_volumes, tet_gradients
+from anisofem.geometry import signed_volumes, tet_gradients
 from anisofem.mesh import LOCAL_FACES, Mesh
 from anisofem.quadrature import sample
-from anisofem.system import _cr_matrix, _local_kernel, _scatter_square
+from anisofem.system import _assemble, _local_kernel
 
 from conftest import CASE, jittered_cube
 
@@ -105,16 +105,18 @@ def product_form(matrix, rhs, constrained):
     return matrix, np.where(constrained, 0.0, rhs)
 
 
+def built(element, mesh, f, constrained):
+    """The library's own matrix and load for any mask ``constrained``: its
+    block kernel and CSR builder, the slots ordered by a stable argsort."""
+    dofs = mesh.tets if element == "p1" else mesh.faces.tet_faces
+    return _assemble(dofs, np.argsort(dofs.ravel(), kind="stable"),
+                     _local_kernel(element, mesh, f, constrained), constrained)
+
+
 def unconstrained(element, mesh, f):
-    """The library's own matrix and load with no DOF constrained: its block
-    kernel and CSR builders given an all-false mask."""
-    if element == "cr":
-        return _cr_matrix(mesh, f, np.zeros(mesh.faces.n_faces, dtype=bool))
-    none = np.zeros(mesh.n_vertices, dtype=bool)
-    local, loads = per_block(mesh.n_tets, _local_kernel("p1", mesh, f, none))
-    rhs = np.bincount(mesh.tets.ravel(), weights=loads.ravel(),
-                      minlength=mesh.n_vertices)
-    return _scatter_square(local, mesh.tets, mesh.n_vertices), rhs
+    """The library's own matrix and load with no DOF constrained."""
+    n = mesh.n_vertices if element == "p1" else mesh.faces.n_faces
+    return built(element, mesh, f, np.zeros(n, dtype=bool))
 
 
 def oracle_case(mesh, data):
@@ -166,11 +168,11 @@ def test_assembly_matches_coo_oracle(element, mesh, data):
     ("4:8", "f", False),
 ])
 def test_cr_assembly_matches_coo_oracle(mesh, data, constrain):
-    # the CR row table against the scatter for masks assemble_cr never
+    # the CR builder against the scatter for masks assemble_cr never
     # passes: none at all, and the boundary with every third face added, so
     # that interior faces, with a local row on each side, are eliminated too;
-    # the table drops the exact zeros of the local matrices, as the product
-    # form does
+    # the builder drops the exact zeros of the local matrices, as the
+    # product form does
     mesh, data = oracle_case(mesh, data)
     matrix, rhs, boundary = coo_scatter("cr", mesh, data)
     mask = np.zeros_like(boundary)
@@ -180,33 +182,37 @@ def test_cr_assembly_matches_coo_oracle(mesh, data, constrain):
         matrix, rhs = product_form(matrix, rhs, mask)
     else:
         matrix.eliminate_zeros()
-    table_matrix, table_rhs = _cr_matrix(mesh, data, mask)
+    table_matrix, table_rhs = built("cr", mesh, data, mask)
     for attr in ("indptr", "indices", "data"):
         assert_same_bits(getattr(table_matrix, attr), getattr(matrix, attr), attr)
     assert_same_bits(table_rhs, rhs, "rhs")
 
 
-@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
+@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr,
+                                      af.rt0_mass_matrix])
 def test_matrix_arrays_hold_no_slack(assemble):
-    # the eliminated entries leave no unused room behind the CSR arrays; at
-    # 8:16 a P1 sum sized by the scatter's entries, zeros included, would
-    # keep it (smaller meshes copy it away)
+    # the summed and eliminated entries leave no unused room behind the CSR
+    # arrays; at 8:16 scipy's pruning would keep the builder's whole table
+    # behind them (smaller meshes copy it away)
     mesh = af.generate_aniso_cube(8, 16)
-    matrix = assemble(mesh, np.ones(mesh.n_tets)).matrix
+    matrix = (assemble(mesh) if assemble is af.rt0_mass_matrix
+              else assemble(mesh, np.ones(mesh.n_tets)).matrix)
     for array in (matrix.indptr, matrix.indices, matrix.data):
         assert array.base is None or array.base.nbytes == array.nbytes
 
 
-def test_cr_assembly_memory_budget():
-    # the row table needs no (nt, 4, 4) local array and no COO index arrays;
-    # the scatter it replaced peaked at 747 bytes a tet here
+@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
+def test_assembly_memory_budget(assemble):
+    # the builder's table needs no (nt, 4, 4) local array, no COO index
+    # arrays and no (nt, 4) loads; a COO scatter peaked here at 661 (P1)
+    # and 747 (CR) bytes a tet
     mesh = af.generate_aniso_cube(8, 64)
     mesh.faces
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        af.assemble_cr(mesh, CASE.f)
+        assemble(mesh, CASE.f)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
