@@ -150,10 +150,12 @@ def build_face_table(mesh):
     if nt == 0:
         raise ValueError("empty mesh")
     # each of the 4 nt slots' sorted vertex triple (min, sum - min - max, max)
-    a, b, c = (mesh.tets[:, LOCAL_FACES[:, j]].ravel() for j in range(3))
+    # of narrowed vertex ids: the sum may wrap around, mid is exact mod 2^bits
+    ids = mesh.tets.astype(np.min_scalar_type(mesh.n_vertices - 1))
+    a, b, c = (ids[:, LOCAL_FACES[:, j]].ravel() for j in range(3))
     lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
     mid = a + b + c - lo - hi
-    del a, b, c
+    del a, b, c, ids
     # one stable sort of the slots: equal triples end up adjacent, lower
     # slot first, and the groups come out in lexicographic order
     order = np.lexsort((hi, mid, lo))
@@ -165,7 +167,7 @@ def build_face_table(mesh):
     counts = np.diff(np.append(start, len(order)))
     if counts.max() > 2:
         bad = ranked[start[np.argmax(counts)]]
-        raise ValueError(f"non-manifold input: face {tuple(bad)} has "
+        raise ValueError(f"non-manifold input: face {tuple(bad.tolist())} has "
                          f"{counts.max()} incident tets")
 
     tet_faces = np.empty(4 * nt, dtype=np.int64)
@@ -178,7 +180,7 @@ def build_face_table(mesh):
     signs = np.full(4 * nt, -1.0)
     signs[sides[:, 0]] = 1.0
     table = FaceTable(
-        vertices=ranked[start],
+        vertices=ranked[start].astype(np.int64),
         sides=sides,
         boundary=~interior,
         tet_faces=tet_faces.reshape(nt, 4),

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import anisofem as af
 from anisofem.mesh import Mesh
@@ -10,6 +13,20 @@ CASE = af.cube_polynomial_case()
 # acceptance checks cover, without the opt-in M=32 rows
 PAIRS_GAMMA15 = [(4, 8), (8, 22), (16, 64)]
 PAIRS_GAMMA20 = [(4, 16), (8, 64), (16, 256)]
+
+
+def singular_saddle_system(mesh, kind):
+    """A hand-built rt0 system that the direct solve cannot meet: the mixed
+    matrix without its divergence block, which is exactly singular, or a
+    diagonal so small that the solution overflows."""
+    system = af.assemble_rt0_mixed(mesh, CASE.f)
+    nf = mesh.faces.n_faces
+    if kind == "exact":
+        keep = sp.diags((np.arange(system.matrix.shape[0]) < nf).astype(float))
+        matrix = (keep @ system.matrix @ keep).tocsr()
+    else:
+        matrix = sp.diags(np.full(system.matrix.shape[0], 1e-310), format="csr")
+    return dataclasses.replace(system, matrix=matrix, rhs=np.ones(len(system.rhs)))
 
 
 @pytest.fixture(scope="session")

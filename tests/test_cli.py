@@ -15,6 +15,8 @@ from anisofem import analysis, cli
 from anisofem.cli import (CONVERGE_HEADER, ConfigError, DEFAULT_PAIRS, main,
                           select_pairs)
 
+from conftest import singular_saddle_system
+
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -250,6 +252,19 @@ def test_numerical_value_error_exits_1(capsys, monkeypatch):
     assert "singular element" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_singular_saddle_system_exits_1(capsys, monkeypatch):
+    # the direct mixed oracle's failure is a numerical failure: one line,
+    # exit 1, no traceback
+    monkeypatch.setattr(af.system, "assemble_rt0_mixed",
+                        lambda mesh, f: singular_saddle_system(mesh, "exact"))
+    code, out, err = run(capsys, ["verify"])
+    assert code == 1
+    assert out.startswith("identity,")
+    assert err.startswith("numerical failure: sparse LU failed")
+    assert len(err.splitlines()) == 1
+
+
 def test_interp_demo_non_finite_row_exits_1(capsys):
     # at gamma=400 the sliver's interpolation error overflows to inf: the row
     # is refused whole, after the header
@@ -380,16 +395,22 @@ def test_traced_layers_exist():
 
 
 def test_process_entry_freezes_the_import_heap():
-    # run as __main__, main() sees no argv and freezes what the imports left
+    # run as __main__, main() sees no argv and freezes what the imports left;
+    # a CR row solves without loading scipy.sparse.linalg, which only the
+    # mixed oracle of verify imports
     script = ("import atexit, gc, runpy, sys\n"
-              "atexit.register(lambda: print(gc.get_freeze_count()))\n"
-              "sys.argv = ['anisofem', 'interp-demo', '--n-values', '4']\n"
+              "atexit.register(lambda: print(gc.get_freeze_count(),\n"
+              "                              'scipy.sparse.linalg' in sys.modules))\n"
+              "sys.argv = ['anisofem', 'converge', '--element', 'cr',\n"
+              "            '--pairs', '2:2']\n"
               "runpy.run_module('anisofem.cli', run_name='__main__')\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.splitlines()[-1]) > 0
+    frozen, linalg = proc.stdout.splitlines()[-1].split()
+    assert int(frozen) > 0
+    assert linalg == "False"
 
 
 def test_main_with_argv_leaves_gc_alone(capsys):

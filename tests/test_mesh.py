@@ -38,14 +38,20 @@ def test_boundary_face_counts(m, n, boundary):
 
 
 def test_face_table_against_brute_force_enumeration():
-    mesh = af.generate_aniso_cube(2, 2)
-    counter = brute_force_faces(mesh.tets)
-    table = mesh.faces
-    assert table.n_faces == len(counter)
-    assert list(map(tuple, table.vertices)) == sorted(counter)
-    for tri, row, bnd in zip(table.vertices, table.sides // 4, table.boundary):
-        assert counter[tuple(tri)] == (1 if bnd else 2)
-        assert (row >= 0).sum() == counter[tuple(tri)]
+    # the slot keys use the narrowest unsigned type of the vertex ids: pad
+    # puts that many unused vertices first, so that at 60,000 the uint16
+    # vertex sums wrap around and at 70,000 the keys are uint32
+    base = af.generate_aniso_cube(2, 2)
+    for pad in (0, 60_000, 70_000):
+        mesh = Mesh(np.vstack([np.zeros((pad, 3)), base.vertices]), base.tets + pad)
+        counter = brute_force_faces(mesh.tets)
+        table = mesh.faces
+        assert table.vertices.dtype == np.int64
+        assert table.n_faces == len(counter)
+        assert list(map(tuple, table.vertices)) == sorted(counter)
+        for tri, row, bnd in zip(table.vertices, table.sides // 4, table.boundary):
+            assert counter[tuple(tri)] == (1 if bnd else 2)
+            assert (row >= 0).sum() == counter[tuple(tri)]
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -90,10 +96,20 @@ def test_face_table_properties_under_relabelling(m, n, seed, b):
     face_map = np.empty(base.faces.n_faces, dtype=np.int64)
     face_map[base.faces.tet_faces[perm]] = table.tet_faces
     for assemble, dof_map in ((af.assemble_p1, relabel), (af.assemble_cr, face_map)):
-        old, new = assemble(base, CASE.f), assemble(mesh, CASE.f)
-        np.testing.assert_allclose(new.matrix.toarray()[np.ix_(dof_map, dof_map)],
-                                   old.matrix.toarray(), rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(new.rhs[dof_map], old.rhs, rtol=1e-13, atol=0.0)
+        (old, old_rhs), (new, new_rhs) = (by_dof(assemble(on, CASE.f))
+                                          for on in (base, mesh))
+        np.testing.assert_allclose(new[np.ix_(dof_map, dof_map)], old,
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(new_rhs[dof_map], old_rhs, rtol=1e-13, atol=0.0)
+
+
+def by_dof(system):
+    """The dense matrix and the load of a P1 or CR system, rows in vertex or
+    face order: the CR unknowns run column by column, unknown k on face
+    system.faces[k]."""
+    rows = (np.arange(len(system.rhs)) if system.faces is None
+            else np.argsort(system.faces))
+    return system.matrix.toarray()[np.ix_(rows, rows)], system.rhs[rows]
 
 
 def check_volume_counts_and_orientation(m, n):

@@ -12,7 +12,7 @@ from anisofem.mesh import LOCAL_FACES, Mesh
 from anisofem.quadrature import sample
 from anisofem.system import _assemble, _local_kernel
 
-from conftest import CASE, jittered_cube
+from conftest import CASE, jittered_cube, singular_saddle_system
 
 
 def two_tet_mesh():
@@ -46,6 +46,8 @@ def test_unconstrained_stiffness_annihilates_constants():
     for assemble, dofs in ((af.assemble_p1, mesh.tets),
                            (af.assemble_cr, mesh.faces.tet_faces)):
         system = assemble(mesh, CASE.f)
+        if system.faces is not None:  # the CR unknowns run column by column
+            dofs = np.argsort(system.faces)[dofs]
         near = np.zeros(system.matrix.shape[0], dtype=bool)
         near[dofs[system.constrained[dofs].any(axis=1)]] = True
         assert (~near).any()
@@ -113,6 +115,14 @@ def built(element, mesh, f, constrained):
                      _local_kernel(element, mesh, f, constrained), constrained)
 
 
+def renumbered(matrix, rhs, faces):
+    """A face-ordered matrix and load in a CR system's numbering, unknown k
+    on face faces[k]: a permutation, so every entry keeps its bits."""
+    matrix = matrix[faces][:, faces]
+    matrix.sort_indices()
+    return matrix, rhs[faces]
+
+
 def unconstrained(element, mesh, f):
     """The library's own matrix and load with no DOF constrained."""
     n = mesh.n_vertices if element == "p1" else mesh.faces.n_faces
@@ -137,8 +147,10 @@ def test_constraints_in_place_match_product_form(assemble):
     # as a sparse product
     mesh = af.generate_aniso_cube(4, 8)
     system = assemble(mesh, CASE.f)
-    oracle, rhs = product_form(*unconstrained(system.kind, mesh, CASE.f),
-                               system.constrained)
+    matrix, rhs = unconstrained(system.kind, mesh, CASE.f)
+    if system.faces is not None:
+        matrix, rhs = renumbered(matrix, rhs, system.faces)
+    oracle, rhs = product_form(matrix, rhs, system.constrained)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(system.matrix, attr), getattr(oracle, attr)), attr
     assert np.array_equal(system.rhs, rhs)
@@ -156,6 +168,9 @@ def test_assembly_matches_coo_oracle(element, mesh, data):
     assemble = af.assemble_p1 if element == "p1" else af.assemble_cr
     system = assemble(mesh, data)
     matrix, rhs, constrained = coo_scatter(element, mesh, data)
+    if system.faces is not None:
+        matrix, rhs = renumbered(matrix, rhs, system.faces)
+        constrained = constrained[system.faces]
     assert np.array_equal(system.constrained, constrained)
     matrix, rhs = product_form(matrix, rhs, constrained)
     for attr in ("indptr", "indices", "data"):
@@ -201,22 +216,25 @@ def test_matrix_arrays_hold_no_slack(assemble):
         assert array.base is None or array.base.nbytes == array.nbytes
 
 
-@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
-def test_assembly_memory_budget(assemble):
+@pytest.mark.parametrize("stage", [af.assemble_p1, af.assemble_cr, af.solve_spd])
+def test_assembly_memory_budget(stage):
     # the builder's table needs no (nt, 4, 4) local array, no COO index
     # arrays and no (nt, 4) loads; a COO scatter peaked here at 661 (P1)
-    # and 747 (CR) bytes a tet
+    # and 747 (CR) bytes a tet.  The CR solve fills its band a block of rows
+    # at a time and permutes nothing per apply; with matrix-wide index
+    # arrays for the band it peaked at 272 bytes a tet
     mesh = af.generate_aniso_cube(8, 64)
     mesh.faces
+    system = af.assemble_cr(mesh, CASE.f) if stage is af.solve_spd else None
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assemble(mesh, CASE.f)
+        stage(system) if system else stage(mesh, CASE.f)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak / mesh.n_tets <= 520
+    assert peak / mesh.n_tets <= (240 if system else 520)
 
 
 def test_cell_mean_data():
@@ -253,14 +271,38 @@ def test_solve_spd_small_systems():
     assert field.solve_info["iterations"] < 5000
 
 
+@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
+def test_cg_loop_matches_scipy(assemble):
+    # the package's loop runs scipy 1.17's cg operation for operation: with
+    # the same preconditioner, on the system's own numbering, both give the
+    # same iterates bit for bit, and the same iteration count
+    system = assemble(af.generate_aniso_cube(4, 8), CASE.f)
+    if system.kind == "cr":
+        apply, _ = af.system._column_band(system.matrix, system.columns)
+        precond = spla.LinearOperator(system.matrix.shape, matvec=apply, dtype=float)
+    else:
+        inv = 1.0 / system.matrix.diagonal()
+        apply, precond = (lambda r: inv * r), sp.diags(inv)
+    rtol = 1e-10 / 4.0
+    x, iterations = af.system._pcg(system.matrix, system.rhs,
+                                   np.zeros_like(system.rhs), apply, rtol, 10_000)
+    steps = []
+    reference, info = spla.cg(system.matrix, system.rhs, rtol=rtol, maxiter=10_000,
+                              M=precond, callback=steps.append)
+    assert info == 0 and iterations == len(steps) > 0
+    assert x.tobytes() == reference.tobytes()
+
+
 def test_solve_spd_refuses_cr_system_not_sized_to_its_mesh():
-    # the column band takes its face columns from the mesh, so a CR system of
-    # another size is refused with both sizes, before the band is built
+    # a CR system numbers its mesh's faces by column, so one of another
+    # size, or a hand-built one without the numbering, is refused with both
+    # sizes, before the band is built
     mesh = af.generate_aniso_cube(2, 2)
-    identity = af.SparseSystem(sp.identity(3, format="csr"), np.ones(3), "cr",
-                               mesh, np.zeros(3, dtype=bool))
-    with pytest.raises(ValueError, match=r"size 3 on a mesh with 104 faces"):
-        af.solve_spd(identity)
+    for n in (3, 104):
+        identity = af.SparseSystem(sp.identity(n, format="csr"), np.ones(n), "cr",
+                                   mesh, np.zeros(n, dtype=bool))
+        with pytest.raises(ValueError, match=rf"size {n} on a mesh with 104 faces"):
+            af.solve_spd(identity)
 
 
 def test_solve_spd_reports_nonconvergence():
@@ -273,7 +315,8 @@ def test_solve_spd_reports_nonconvergence():
 
 def assert_matches_spsolve(system, field):
     exact = spla.spsolve(system.matrix.tocsc(), system.rhs)
-    assert np.abs(field.coeffs - exact).max() <= 1e-9 * np.abs(exact).max()
+    coeffs = field.coeffs[system.faces]  # in the system's numbering
+    assert np.abs(coeffs - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("m, n, jacobi, bound", [(4, 16, 95, 24),
@@ -297,8 +340,7 @@ def test_compensated_column_band_dominates_the_matrix(mesh):
     # narrow bins, so the band drops more couplings there
     mesh = jittered_cube(4, 8) if mesh == "jittered" else af.generate_aniso_cube(4, 8)
     system = af.assemble_cr(mesh, CASE.f)
-    columns = af.system._face_columns(mesh)
-    apply, _ = af.system._column_band(system.matrix, columns)
+    apply, _ = af.system._column_band(system.matrix, system.columns)
     n = system.matrix.shape[0]
     precond = apply(np.eye(n))
     # M = L L^T, and L^T A L has the eigenvalues of M A
@@ -309,8 +351,7 @@ def test_compensated_column_band_dominates_the_matrix(mesh):
     assert eig.max() <= 1.0 + 1e-10
     # M inverts B~ formed entry by entry: a_ij inside a column, and
     # d_i = sum over j outside of |a_ij| sqrt(a_jj / a_ii)
-    label = columns[1]
-    inside = label[:, None] == label[None, :]
+    inside = system.columns[:, None] == system.columns[None, :]
     w = np.sqrt(np.diag(dense))
     d = (np.abs(np.where(inside, 0.0, dense)) @ w) / w
     reference = np.where(inside, dense, 0.0) + np.diag(d)
@@ -321,13 +362,14 @@ def test_compensated_column_band_dominates_the_matrix(mesh):
 def test_face_columns_partition_the_faces():
     m, n = 4, 16
     mesh = af.generate_aniso_cube(m, n)
-    order, label = af.system._face_columns(mesh)
+    order, runs = af.system._face_columns(mesh)
     nf = mesh.faces.n_faces
     # a permutation whose columns are contiguous runs, each bottom to top
     assert np.array_equal(np.sort(order), np.arange(nf))
-    assert label.shape == (nf,)
-    runs = label[order]
-    assert (np.diff(runs) >= 0).all()
+    assert runs.shape == (nf,)
+    assert (np.diff(runs.astype(int)) >= 0).all()
+    label = np.empty_like(runs)  # the column of each face
+    label[order] = runs
     z = mesh.vertices[mesh.faces.vertices, 2].mean(axis=1)[order]
     assert (np.diff(z)[np.diff(runs) == 0] >= -1e-15).all()
     # the faces strictly inside box column (i, j) make up one column each
@@ -337,13 +379,19 @@ def test_face_columns_partition_the_faces():
     pairs = np.unique(np.stack([box, label[inside]]), axis=1)
     assert pairs.shape[1] == m * m
     assert len(np.unique(pairs[1])) == m * m
+    # the CR system numbers its unknowns in this order
+    system = af.assemble_cr(mesh, CASE.f)
+    assert np.array_equal(system.faces, order)
+    assert np.array_equal(system.columns, runs)
 
 
 def test_face_column_order_is_the_lexsort():
     # the two stable sorts (z, then the narrow-typed labels) give the
     # lexsort order, on bins that are no longer box columns
     mesh = jittered_cube(4, 16)
-    order, label = af.system._face_columns(mesh)
+    order, runs = af.system._face_columns(mesh)
+    label = np.empty_like(runs)
+    label[order] = runs
     p = mesh.vertices[:, 2][mesh.faces.vertices]
     z = p[:, 0] + ((p[:, 1] - p[:, 0]) + (p[:, 2] - p[:, 0])) / 3.0
     assert np.array_equal(order, np.lexsort((z, label)))
@@ -355,7 +403,7 @@ def test_cr_column_preconditioner_off_the_grid():
     mesh = jittered_cube(4, 16)
     assert af.validate_conformity(mesh).ok
     system = af.assemble_cr(mesh, CASE.f)
-    assert len(np.unique(af.system._face_columns(mesh)[1])) > 24  # 24 on the grid
+    assert len(np.unique(system.columns)) > 24  # 24 on the grid
     field = af.solve_spd(system)
     assert field.solve_info["preconditioner"] == "column-band"
     assert field.solve_info["residual"] <= 1e-10
@@ -379,7 +427,7 @@ def test_galerkin_consistency():
     mesh = af.generate_aniso_cube(4, 8)
     system = af.assemble_cr(mesh, CASE.f)
     field = af.solve_spd(system, tol=1e-10)
-    res = np.linalg.norm(system.rhs - system.matrix @ field.coeffs)
+    res = np.linalg.norm(system.rhs - system.matrix @ field.coeffs[system.faces])
     assert res <= 1e-10 * np.linalg.norm(system.rhs)
 
 
@@ -389,6 +437,18 @@ def test_rt0_zero_rhs():
     field = af.solve_saddle(system)
     assert np.abs(field.coeffs).max() == 0.0
     assert np.abs(field.cell_coeffs).max() == 0.0
+    assert field.solve_info == {"iterations": 0, "residual": 0.0, "tol": 1e-10}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["exact", "overflow"])
+def test_singular_saddle_system_is_a_solver_error(kind):
+    # a failed factor or a non-finite solution is reported as a solver
+    # failure, with no warning and no NaN field
+    system = singular_saddle_system(af.generate_aniso_cube(2, 2), kind)
+    with pytest.raises(af.SolverError, match="sparse LU failed" if kind == "exact"
+                       else "relative residual inf"):
+        af.solve_saddle(system)
 
 
 def dense_rt0_oracle(mesh):
