@@ -18,11 +18,12 @@ unknowns; flux DOFs take their orientation from the face table's
 The P1/CR assemblers take the data f as a callable, integrated against each
 basis function by the degree-5 rule, or as an array of its cell means, which
 is the load of the projected problem.  ``solve_spd`` runs the package's
-own CG loop, preconditioned for CR by one banded Cholesky solve over the
-vertical face columns and for P1 by Jacobi.  ``converge`` gets its RT0 rows
-from the enriched CR solution of ``equivalence``; the mixed system and its
-direct sparse LU solve are the independent oracle that ``verify`` checks
-that reconstruction against.
+own CG loop once, from x = 0, preconditioned for CR by one banded Cholesky
+solve over the vertical face columns and for P1 by Jacobi.  ``converge``
+gets its RT0 rows from the enriched CR solution of ``equivalence``; the
+mixed system and its direct sparse LU solve are the independent oracle that
+``verify`` checks that reconstruction against.  Both solves end in one
+check of the true relative residual against tol (``_checked``).
 """
 
 from dataclasses import dataclass, field
@@ -251,7 +252,8 @@ def assemble_p1(mesh, f):
     """
     constrained = np.zeros(mesh.n_vertices, dtype=bool)
     constrained[np.unique(mesh.faces.vertices[mesh.faces.boundary])] = True
-    matrix, rhs = _assemble(mesh.tets, np.argsort(mesh.tets.ravel(), kind="stable"),
+    keys = mesh.tets.ravel().astype(np.min_scalar_type(mesh.n_vertices - 1))
+    matrix, rhs = _assemble(mesh.tets, np.argsort(keys, kind="stable"),
                             _local_kernel("p1", mesh, f, constrained), constrained)
     return SparseSystem(matrix, rhs, "p1", mesh, constrained)
 
@@ -325,39 +327,29 @@ def assemble_rt0_mixed(mesh, f):
     return SparseSystem(matrix, rhs, "rt0", mesh, constrained)
 
 
-def _solved(system, tol, attempt, runs):
-    """x and its solve info (iterations, true relative residual, tol) from
-    ``attempt(x, rtol) -> (x, iterations)``, run from x = 0 at the relative
-    tolerance tol / 4, then from its last x at a tighter one while the true
-    relative residual exceeds tol, ``runs`` times at most, or SolverError."""
-    x = np.zeros_like(system.rhs)
-    info = {"iterations": 0, "residual": 0.0, "tol": tol}
-    rtol, scale = tol / 4.0, np.linalg.norm(system.rhs)
-    for _ in range(runs if scale > 0.0 else 0):
-        x, run = attempt(x, rtol)
-        info["iterations"] += run
-        with np.errstate(invalid="ignore", over="ignore"):  # x may not be finite
-            info["residual"] = residual = float(
-                np.linalg.norm(system.rhs - system.matrix @ x) / scale)
-        if residual <= tol:
-            break
-        rtol *= 0.25 * min(tol / residual, 1.0)  # 0 or NaN unless finite
-        if not rtol >= 1e-18:
-            break
-    if not info["residual"] <= tol:
-        raise SolverError("solver did not converge", info["residual"],
-                          info["iterations"])
-    return x, info
+def _checked(system, x, tol, iterations):
+    """The solve info of x (iterations, true relative residual, tol), or
+    SolverError unless that residual is <= tol.  A zero load has the
+    absolute residual, 0 for x = 0; a NaN or inf one fails."""
+    with np.errstate(invalid="ignore", over="ignore"):  # x may not be finite
+        residual = float(np.linalg.norm(system.rhs - system.matrix @ x)
+                         / (np.linalg.norm(system.rhs) or 1.0))
+    if not residual <= tol:
+        raise SolverError("solver did not converge", residual, iterations)
+    return {"iterations": iterations, "residual": residual, "tol": tol}
 
 
-def _pcg(matrix, rhs, x, precondition, rtol, max_iter):
+def _pcg(matrix, rhs, precondition, rtol):
     """Preconditioned CG (Saad, Iterative Methods for Sparse Linear Systems,
-    2003, alg. 9.1) from x, in place, until the recurrence residual is under
-    rtol |b| or for max_iter iterations: scipy 1.17's ``cg`` operation for
-    operation, so the iterates keep its bits.  Returns x and the count."""
-    atol = rtol * np.linalg.norm(rhs)
-    r = rhs - matrix @ x if x.any() else rhs.copy()
-    for iteration in range(max_iter):
+    2003, alg. 9.1) from x = 0 until the recurrence residual is under rtol |b|
+    or for scipy's default 10 n iterations: scipy 1.17's ``cg`` operation for
+    operation, so the iterates keep its bits.  Returns x and the count; x = 0
+    at once for a zero, NaN or inf load."""
+    x, scale = np.zeros_like(rhs), np.linalg.norm(rhs)
+    if not 0.0 < scale < np.inf:
+        return x, 0
+    atol, r = rtol * scale, rhs.copy()
+    for iteration in range(10 * len(rhs)):
         if np.linalg.norm(r) < atol:
             return x, iteration
         z = precondition(r)
@@ -372,7 +364,7 @@ def _pcg(matrix, rhs, x, precondition, rtol, max_iter):
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    return x, max_iter
+    return x, 10 * len(rhs)
 
 
 def _column_band(matrix, columns):
@@ -425,9 +417,10 @@ def _column_band(matrix, columns):
     return lambda r: dpbtrs(factor, r)[0], width
 
 
-def solve_spd(system, tol=1e-10, max_iter=200_000):
-    """Preconditioned conjugate gradients (``_pcg``) for the P1/CR systems,
-    restarted by ``_solved`` until the true relative residual is <= tol.
+def solve_spd(system, tol=1e-10):
+    """Preconditioned conjugate gradients (``_pcg``) for the P1/CR systems:
+    one run from x = 0 to the recurrence tolerance tol / 4, then one check
+    (``_checked``) that the true relative residual is <= tol.
 
     The preconditioner follows the system's kind.  For CR it is the exact
     solve with the couplings inside each vertical face column, plus a
@@ -451,8 +444,8 @@ def solve_spd(system, tol=1e-10, max_iter=200_000):
         name, width = "jacobi", 0
         inv = 1.0 / system.matrix.diagonal()
         precondition = lambda r: inv * r
-    x, info = _solved(system, tol, lambda x, rtol: _pcg(
-        system.matrix, system.rhs, x, precondition, rtol, max_iter), runs=6)
+    x, iterations = _pcg(system.matrix, system.rhs, precondition, tol / 4.0)
+    info = _checked(system, x, tol, iterations)
     info.update(preconditioner=name, bandwidth=width)
     if system.faces is not None:  # back to face order
         x[system.faces] = x.copy()
@@ -474,6 +467,6 @@ def solve_saddle(system, tol=1e-10):
         lu = spla.splu(system.matrix.tocsc())
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverError(f"sparse LU failed: {exc}", np.inf, 0) from None
-    x, info = _solved(system, tol, lambda x, rtol: (lu.solve(system.rhs), 0), runs=1)
-    nf = system.mesh.faces.n_faces
-    return Field("rt0", system.mesh, x[:nf], cell_coeffs=x[nf:], solve_info=info)
+    x, nf = lu.solve(system.rhs), system.mesh.faces.n_faces
+    return Field("rt0", system.mesh, x[:nf], cell_coeffs=x[nf:],
+                 solve_info=_checked(system, x, tol, 0))

@@ -305,6 +305,20 @@ def test_converge_solver_failure_partial_table(capsys):
     assert "solver" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_converge_tol_under_rounding_floor_exits_1(capsys):
+    # 1e-14 lies under the 4:16 row's rounding floor of the true residual,
+    # as the default tol does under the 32:1024 row's: the 2:2 row is
+    # written, then the one CG run fails its residual check, in one line
+    code, out, err = run(capsys, ["converge", "--element", "cr",
+                                  "--pairs", "2:2,4:16", "--tol", "1e-14"])
+    assert code == 1
+    assert out.splitlines()[0] == CONVERGE_HEADER
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["2", "2"]]
+    assert err.startswith("numerical failure: solver did not converge")
+    assert len(err.splitlines()) == 1
+
+
 def test_converge_out_and_vtk(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     vtk_stem = tmp_path / "mesh"

@@ -266,7 +266,7 @@ def test_solve_spd_small_systems():
     two = af.SparseSystem(sp.csr_matrix(np.array([[2., 1], [1, 2]])),
                           np.ones(2), "p1", mesh, np.zeros(2, dtype=bool))
     assert np.allclose(af.solve_spd(two).coeffs, [1 / 3, 1 / 3], atol=1e-12)
-    field = af.solve_spd(base, tol=1e-10, max_iter=5000)
+    field = af.solve_spd(base, tol=1e-10)
     assert field.solve_info["residual"] <= 1e-10
     assert field.solve_info["iterations"] < 5000
 
@@ -284,8 +284,7 @@ def test_cg_loop_matches_scipy(assemble):
         inv = 1.0 / system.matrix.diagonal()
         apply, precond = (lambda r: inv * r), sp.diags(inv)
     rtol = 1e-10 / 4.0
-    x, iterations = af.system._pcg(system.matrix, system.rhs,
-                                   np.zeros_like(system.rhs), apply, rtol, 10_000)
+    x, iterations = af.system._pcg(system.matrix, system.rhs, apply, rtol)
     steps = []
     reference, info = spla.cg(system.matrix, system.rhs, rtol=rtol, maxiter=10_000,
                               M=precond, callback=steps.append)
@@ -306,11 +305,27 @@ def test_solve_spd_refuses_cr_system_not_sized_to_its_mesh():
 
 
 def test_solve_spd_reports_nonconvergence():
-    mesh = af.generate_aniso_cube(4, 8)
+    # 1e-14 lies under the 4:16 row's rounding floor of the true residual
+    mesh = af.generate_aniso_cube(4, 16)
     system = af.assemble_cr(mesh, CASE.f)
     with pytest.raises(af.SolverError) as err:
-        af.solve_spd(system, tol=1e-10, max_iter=3)
-    assert err.value.residual > 1e-10
+        af.solve_spd(system, tol=1e-14)
+    assert err.value.residual > 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["p1", "cr", "rt0"])
+def test_non_finite_load_is_a_solver_error(kind):
+    # a NaN in the load fails the residual check: no all-zero field that
+    # reads as converged
+    mesh = af.generate_aniso_cube(2, 2)
+    assemble = {"p1": af.assemble_p1, "cr": af.assemble_cr,
+                "rt0": af.assemble_rt0_mixed}[kind]
+    system = assemble(mesh, CASE.f)
+    system.rhs[np.flatnonzero(system.rhs)[0]] = np.nan
+    solve = af.solve_saddle if kind == "rt0" else af.solve_spd
+    with pytest.raises(af.SolverError, match="relative residual nan after 0 "):
+        solve(system)
 
 
 def assert_matches_spsolve(system, field):
