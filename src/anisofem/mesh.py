@@ -37,16 +37,17 @@ _SPLIT_ODD = np.array([
 
 @dataclass(frozen=True)
 class FaceTable:
-    """Unique triangular faces of a tet mesh.
+    """Unique triangular faces of a tet mesh, numbered column by column.
 
-    Faces are ordered lexicographically by their sorted vertex triple, which
-    makes the table reproducible for a given vertex numbering regardless of
-    tet order.  The two sides of a face are named by flat slots ``4 t + i``
-    (local face i of tet t): ``sides[f, 0]`` is the lower slot and
-    ``sides[f, 1]`` is -1 on the boundary, so ``sides // 4`` gives the
-    incident tets.  The table is pure topology: a face's global orientation,
-    used for the Raviart-Thomas flux degrees of freedom, is the outward
-    normal of its first side, which ``tet_face_signs`` marks with +1.
+    Faces run by column label (``_face_columns``), then by centroid z, then
+    by sorted vertex triple, which makes the table reproducible for a given
+    vertex numbering regardless of tet order; CR face means and RT0 fluxes
+    share this one numbering.  The two sides of a face are named by flat
+    slots ``4 t + i`` (local face i of tet t): ``sides[f, 0]`` is the lower
+    slot and ``sides[f, 1]`` is -1 on the boundary, so ``sides // 4`` gives
+    the incident tets.  A face's global orientation, used for the
+    Raviart-Thomas flux degrees of freedom, is the outward normal of its
+    first side, which ``tet_face_signs`` marks with +1.
     """
 
     vertices: np.ndarray   # (nf, 3) sorted vertex triples
@@ -54,6 +55,7 @@ class FaceTable:
     boundary: np.ndarray   # (nf,) bool
     tet_faces: np.ndarray  # (nt, 4) global face index of local face i (opposite vertex i)
     tet_face_signs: np.ndarray  # (nt, 4) +1 on the first side of each face, else -1
+    columns: np.ndarray    # (nf,) nondecreasing column labels, narrowest unsigned type
 
     @property
     def n_faces(self):
@@ -159,9 +161,8 @@ def build_face_table(mesh):
     # one stable sort of the slots: equal triples end up adjacent, lower
     # slot first, and the groups come out in lexicographic order
     order = np.lexsort((hi, mid, lo))
-    tris = np.stack([lo, mid, hi], axis=1)
+    ranked = np.stack([lo, mid, hi], axis=1)[order]
     del lo, mid, hi
-    ranked = tris[order]
     first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
     start = np.flatnonzero(first)
     counts = np.diff(np.append(start, len(order)))
@@ -170,25 +171,55 @@ def build_face_table(mesh):
         raise ValueError(f"non-manifold input: face {tuple(bad.tolist())} has "
                          f"{counts.max()} incident tets")
 
-    tet_faces = np.empty(4 * nt, dtype=np.int64)
-    tet_faces[order] = np.cumsum(first) - 1
     interior = counts == 2
     sides = np.full((len(start), 2), -1, dtype=np.int64)
     sides[:, 0] = order[start]
     sides[interior, 1] = order[start[interior] + 1]
+    corners = ranked[start]
+    del order, ranked, first  # the slot arrays, off the column sort's peak
+    columns, by_column = _face_columns(mesh.vertices, corners)
+    sides, interior, corners = sides[by_column], interior[by_column], corners[by_column]
+    tet_faces = np.empty(4 * nt, dtype=np.int64)  # each slot is one face's side
+    tet_faces[sides[:, 0]] = np.arange(len(start))
+    tet_faces[sides[interior, 1]] = np.flatnonzero(interior)
 
     signs = np.full(4 * nt, -1.0)
     signs[sides[:, 0]] = 1.0
     table = FaceTable(
-        vertices=ranked[start].astype(np.int64),
+        vertices=corners.astype(np.int64),
         sides=sides,
         boundary=~interior,
         tet_faces=tet_faces.reshape(nt, 4),
         tet_face_signs=signs.reshape(nt, 4),
+        columns=columns,
     )
     for arr in vars(table).values():
         arr.setflags(write=False)
     return table
+
+
+def _face_columns(vertices, corners):
+    """(columns, order): the stable order of the faces ``corners`` (sorted
+    vertex triples, lexicographic) by column, then by centroid z, and the
+    column label of each face in that order, in the narrowest unsigned type.
+
+    A face's column is the bin of its centroid's (x, y) among the sorted
+    distinct vertex x and y coordinates: the box column on the generated
+    meshes, a narrower bin on any other.
+    """
+    def centroid(d):  # exact for a face in a plane x_d = const
+        p = vertices[:, d][corners]
+        return p[:, 0] + ((p[:, 1] - p[:, 0]) + (p[:, 2] - p[:, 0])) / 3.0
+
+    x, y, z = (centroid(d) for d in range(3))
+    xs, ys = np.unique(vertices[:, 0]), np.unique(vertices[:, 1])
+    label = (np.searchsorted(xs, x, side="right") * (len(ys) + 1)
+             + np.searchsorted(ys, y, side="right"))
+    # stable sorts by z, then by label: np.lexsort((z, label)), with the
+    # label sort a radix sort on the narrowest unsigned type that holds it
+    order = np.argsort(z, kind="stable")
+    keys = label.astype(np.min_scalar_type(label.max()))[order]
+    return np.sort(keys, kind="stable"), order[np.argsort(keys, kind="stable")]
 
 
 def face_traces(mesh, a, b):

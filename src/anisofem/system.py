@@ -9,11 +9,11 @@ of its tets, and the table sums its duplicates.  Dirichlet constraints use
 symmetric elimination, once, in the P1/CR block kernel: it zeroes the
 constrained rows and columns of every local matrix, and the builder puts a
 unit diagonal on the constrained rows, which keeps the P1/CR matrices
-symmetric positive definite.  The CR unknowns run column by column
-(``_face_columns``).  The mixed system is the symmetric indefinite block
-matrix [[A, B^T], [B, 0]] over flux and cell
-unknowns; flux DOFs take their orientation from the face table's
-``tet_face_signs``, so normal continuity holds by construction.
+symmetric positive definite.  CR and RT0 unknown k is face k of the face
+table, which runs column by column.  The mixed system is the symmetric
+indefinite block matrix [[A, B^T], [B, 0]] over flux and cell unknowns;
+flux DOFs take their orientation from the face table's ``tet_face_signs``,
+so normal continuity holds by construction.
 
 The P1/CR assemblers take the data f as a callable, integrated against each
 basis function by the degree-5 rule, or as an array of its cell means, which
@@ -57,8 +57,6 @@ class SparseSystem:
     kind: str                     # 'p1' | 'cr' | 'rt0'
     mesh: object
     constrained: np.ndarray       # bool mask over all DOFs (unit rows)
-    faces: np.ndarray | None = None    # cr: the face of each unknown
-    columns: np.ndarray | None = None  # cr: the column label of each unknown
 
 
 @dataclass
@@ -216,31 +214,6 @@ def _assemble(dofs, order, kernel, constrained):
     return matrix, rhs
 
 
-def _face_columns(mesh):
-    """(order, columns): the faces column by column, by centroid z within a
-    column, and the column label of each, in the narrowest unsigned type.
-
-    A face's column is the bin of its centroid's (x, y) among the sorted
-    distinct vertex x and y coordinates: the box column on the generated
-    meshes, a narrower bin on any other.
-    """
-    corners = mesh.faces.vertices
-
-    def centroid(d):  # exact for a face in a plane x_d = const
-        p = mesh.vertices[:, d][corners]
-        return p[:, 0] + ((p[:, 1] - p[:, 0]) + (p[:, 2] - p[:, 0])) / 3.0
-
-    x, y, z = (centroid(d) for d in range(3))
-    xs, ys = np.unique(mesh.vertices[:, 0]), np.unique(mesh.vertices[:, 1])
-    label = (np.searchsorted(xs, x, side="right") * (len(ys) + 1)
-             + np.searchsorted(ys, y, side="right"))
-    # stable sorts by z, then by label: np.lexsort((z, label)), with the
-    # label sort a radix sort on the narrowest unsigned type that holds it
-    order = np.argsort(z, kind="stable")
-    keys = label.astype(np.min_scalar_type(label.max()))[order]
-    return order[np.argsort(keys, kind="stable")], np.sort(keys, kind="stable")
-
-
 def assemble_p1(mesh, f):
     """P1-Lagrange stiffness system for -Laplace u = f, u = 0 on the boundary.
 
@@ -264,20 +237,15 @@ def assemble_cr(mesh, f):
     theta_i has the same element integral |T|/4 as the barycentric
     coordinates, and int_F theta_i = |F| delta_iF, so constraining boundary
     faces to zero enforces vanishing boundary face means.  f is a callable
-    or an (nt,) array of cell means, as in ``assemble_p1``.  The unknowns,
-    and so ``rhs`` and ``constrained``, run column by column: ``faces`` and
-    ``columns`` give each one's face and column (``_face_columns``).  A row
+    or an (nt,) array of cell means, as in ``assemble_p1``.  Unknown k is
+    face k of the face table, so the unknowns run column by column.  A row
     gathers the local rows of the face's one or two sides (``_assemble``),
     at most 7 distinct entries.
     """
     faces = mesh.faces
-    order, columns = _face_columns(mesh)
-    rank = np.empty_like(order, dtype=np.int32 if len(order) < 2**31 else np.int64)
-    rank[order] = np.arange(len(order))
-    constrained = faces.boundary[order]
-    matrix, rhs = _assemble(rank[faces.tet_faces], faces.sides[order],
-                            _local_kernel("cr", mesh, f, faces.boundary), constrained)
-    return SparseSystem(matrix, rhs, "cr", mesh, constrained, order, columns)
+    kernel = _local_kernel("cr", mesh, f, faces.boundary)
+    matrix, rhs = _assemble(faces.tet_faces, faces.sides, kernel, faces.boundary)
+    return SparseSystem(matrix, rhs, "cr", mesh, faces.boundary)
 
 
 def rt0_mass_matrix(mesh):
@@ -426,20 +394,19 @@ def solve_spd(system, tol=1e-10):
     solve with the couplings inside each vertical face column, plus a
     diagonal that bounds the couplings between columns (``_column_band``):
     on the flat boxes of the anisotropic family the strong coupling runs
-    along z, which Jacobi misses, so its iteration count grows with N.  An
-    apply is one banded solve; the solution returns to face order at the
-    end.  P1 keeps Jacobi.  ``solve_info`` names the preconditioner that ran
-    and the band's half-width (0 for Jacobi).
+    along z, which Jacobi misses, so its iteration count grows with N.  The
+    face table runs column by column, so a column is a run of unknowns and
+    an apply is one banded solve.  P1 keeps Jacobi.  ``solve_info`` names
+    the preconditioner that ran and the band's half-width (0 for Jacobi).
     """
     if system.kind not in ("p1", "cr"):
         raise ValueError(f"solve_spd expects a p1 or cr system, got {system.kind!r}")
     if system.kind == "cr":
         n, nf = system.matrix.shape[0], system.mesh.faces.n_faces
-        if system.columns is None or n != nf:
-            raise ValueError(f"cr system of size {n} on a mesh with {nf} faces, "
-                             "or without face columns")
+        if n != nf:
+            raise ValueError(f"cr system of size {n} on a mesh with {nf} faces")
         name = "column-band"
-        precondition, width = _column_band(system.matrix, system.columns)
+        precondition, width = _column_band(system.matrix, system.mesh.faces.columns)
     else:
         name, width = "jacobi", 0
         inv = 1.0 / system.matrix.diagonal()
@@ -447,8 +414,6 @@ def solve_spd(system, tol=1e-10):
     x, iterations = _pcg(system.matrix, system.rhs, precondition, tol / 4.0)
     info = _checked(system, x, tol, iterations)
     info.update(preconditioner=name, bandwidth=width)
-    if system.faces is not None:  # back to face order
-        x[system.faces] = x.copy()
     return Field(system.kind, system.mesh, x, solve_info=info)
 
 

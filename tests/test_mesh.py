@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import anisofem as af
 from anisofem.mesh import Mesh, face_traces
 
-from conftest import CASE
+from conftest import CASE, jittered_cube
 
 
 def brute_force_faces(tets):
@@ -16,6 +16,23 @@ def brute_force_faces(tets):
         for tri in itertools.combinations(sorted(tet), 3):
             counter[tri] = counter.get(tri, 0) + 1
     return counter
+
+
+def centroid(mesh, d):
+    """Coordinate d of each face centroid, as the face table computes it."""
+    p = mesh.vertices[:, d][mesh.faces.vertices]
+    return p[:, 0] + ((p[:, 1] - p[:, 0]) + (p[:, 2] - p[:, 0])) / 3.0
+
+
+def assert_column_order(mesh, counter):
+    """The faces are the brute-force face set, in column order: columns
+    nondecreasing, centroid z nondecreasing within a column, and ties in
+    sorted-triple order."""
+    table = mesh.faces
+    assert sorted(map(tuple, table.vertices)) == sorted(counter)
+    assert (np.diff(table.columns.astype(np.int64)) >= 0).all()
+    keys = (*table.vertices.T[::-1], centroid(mesh, 2), table.columns)
+    assert np.array_equal(np.lexsort(keys), np.arange(table.n_faces))
 
 
 @pytest.mark.parametrize("m,n,verts,tets,faces", [
@@ -48,7 +65,7 @@ def test_face_table_against_brute_force_enumeration():
         table = mesh.faces
         assert table.vertices.dtype == np.int64
         assert table.n_faces == len(counter)
-        assert list(map(tuple, table.vertices)) == sorted(counter)
+        assert_column_order(mesh, counter)
         for tri, row, bnd in zip(table.vertices, table.sides // 4, table.boundary):
             assert counter[tuple(tri)] == (1 if bnd else 2)
             assert (row >= 0).sum() == counter[tuple(tri)]
@@ -75,7 +92,7 @@ def test_face_table_properties_under_relabelling(m, n, seed, b):
         t, i = divmod(int(slot), 4)
         return tuple(sorted(np.delete(mesh.tets[t], i)))
 
-    assert list(map(tuple, table.vertices)) == sorted(counter)
+    assert_column_order(mesh, counter)
     for f, (tri, (s0, s1)) in enumerate(zip(map(tuple, table.vertices), table.sides)):
         assert table.boundary[f] == (counter[tri] == 1) == (s1 == -1)
         assert triple(s0) == tri
@@ -96,20 +113,10 @@ def test_face_table_properties_under_relabelling(m, n, seed, b):
     face_map = np.empty(base.faces.n_faces, dtype=np.int64)
     face_map[base.faces.tet_faces[perm]] = table.tet_faces
     for assemble, dof_map in ((af.assemble_p1, relabel), (af.assemble_cr, face_map)):
-        (old, old_rhs), (new, new_rhs) = (by_dof(assemble(on, CASE.f))
-                                          for on in (base, mesh))
-        np.testing.assert_allclose(new[np.ix_(dof_map, dof_map)], old,
-                                   rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(new_rhs[dof_map], old_rhs, rtol=1e-13, atol=0.0)
-
-
-def by_dof(system):
-    """The dense matrix and the load of a P1 or CR system, rows in vertex or
-    face order: the CR unknowns run column by column, unknown k on face
-    system.faces[k]."""
-    rows = (np.arange(len(system.rhs)) if system.faces is None
-            else np.argsort(system.faces))
-    return system.matrix.toarray()[np.ix_(rows, rows)], system.rhs[rows]
+        old, new = (assemble(on, CASE.f) for on in (base, mesh))
+        np.testing.assert_allclose(new.matrix.toarray()[np.ix_(dof_map, dof_map)],
+                                   old.matrix.toarray(), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(new.rhs[dof_map], old.rhs, rtol=1e-13, atol=0.0)
 
 
 def check_volume_counts_and_orientation(m, n):
@@ -224,9 +231,47 @@ def test_deterministic_rebuild():
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.tets, b.tets)
     assert np.array_equal(a.faces.vertices, b.faces.vertices)
-    # lexicographic face order
-    keys = [tuple(t) for t in a.faces.vertices]
-    assert keys == sorted(keys)
+    assert np.array_equal(a.faces.columns, b.faces.columns)
+    assert_column_order(a, brute_force_faces(a.tets))
+
+
+def test_face_columns_partition_the_faces():
+    m, n = 4, 16
+    mesh = af.generate_aniso_cube(m, n)
+    table = mesh.faces
+    nf = table.n_faces
+    # the columns are contiguous runs of faces, each bottom to top
+    assert table.columns.shape == (nf,)
+    assert (np.diff(table.columns.astype(int)) >= 0).all()
+    z = mesh.vertices[table.vertices, 2].mean(axis=1)
+    assert (np.diff(z)[np.diff(table.columns) == 0] >= -1e-15).all()
+    # the faces strictly inside box column (i, j) make up one column each
+    xy = mesh.vertices[table.vertices, :2].mean(axis=1) * m
+    inside = (np.abs(xy - np.round(xy)) > 1e-9).all(axis=1)
+    box = np.floor(xy[inside]).astype(int) @ [m, 1]
+    pairs = np.unique(np.stack([box, table.columns[inside]]), axis=1)
+    assert pairs.shape[1] == m * m
+    assert len(np.unique(pairs[1])) == m * m
+    # the CR system's unknowns are the faces in this order
+    system = af.assemble_cr(mesh, CASE.f)
+    assert system.matrix.shape == (nf, nf)
+    assert np.array_equal(system.constrained, table.boundary)
+
+
+def test_face_column_order_is_the_lexsort():
+    # the two stable sorts (z, then the narrow-typed labels) give the
+    # lexsort order by label, z and sorted triple, on bins that are no
+    # longer box columns: the bin of the centroid's (x, y) among the
+    # distinct vertex coordinates
+    mesh = jittered_cube(4, 16)
+    table = mesh.faces
+    xs, ys = (np.unique(mesh.vertices[:, d]) for d in range(2))
+    label = (np.searchsorted(xs, centroid(mesh, 0), side="right") * (len(ys) + 1)
+             + np.searchsorted(ys, centroid(mesh, 1), side="right"))
+    assert table.columns.dtype == np.min_scalar_type(label.max())
+    assert np.array_equal(table.columns, label)
+    keys = (*table.vertices.T[::-1], centroid(mesh, 2), label)
+    assert np.array_equal(np.lexsort(keys), np.arange(table.n_faces))
 
 
 def test_validate_flags_missing_tet():
