@@ -34,7 +34,7 @@ CONVERGE_HEADER = "M,N,h,H_nominal,H_computed,dofs,err_h1,r_h1,err_l2,r_l2"
 
 # Peak resident memory of a converge row per tet, the slope of the peak RSS
 # between N = 128 and N = 256 at M = 16 (N = 64 and 128 for rt), rounded up
-ROW_BYTES_PER_TET = {"p1": 500, "cr": 700, "rt": 700}
+ROW_BYTES_PER_TET = {"p1": 600, "cr": 700, "rt": 700}
 MEMINFO = "/proc/meminfo"
 
 

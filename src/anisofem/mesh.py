@@ -39,15 +39,15 @@ _SPLIT_ODD = np.array([
 class FaceTable:
     """Unique triangular faces of a tet mesh, numbered column by column.
 
-    Faces run by column label (``_face_columns``), then by centroid z, then
-    by sorted vertex triple, which makes the table reproducible for a given
-    vertex numbering regardless of tet order; CR face means and RT0 fluxes
-    share this one numbering.  The two sides of a face are named by flat
-    slots ``4 t + i`` (local face i of tet t): ``sides[f, 0]`` is the lower
-    slot and ``sides[f, 1]`` is -1 on the boundary, so ``sides // 4`` gives
-    the incident tets.  A face's global orientation, used for the
-    Raviart-Thomas flux degrees of freedom, is the outward normal of its
-    first side, which ``tet_face_signs`` marks with +1.
+    Interior faces first, then boundary faces, each part by column label
+    (``_face_columns``), centroid z and sorted vertex triple, which makes the
+    table reproducible for a given vertex numbering regardless of tet order;
+    CR face means and RT0 fluxes share this one numbering.  The two sides of
+    a face are named by flat slots ``4 t + i`` (local face i of tet t):
+    ``sides[f, 0]`` is the lower slot and ``sides[f, 1]`` is -1 on the
+    boundary, so ``sides // 4`` gives the incident tets.  A face's global
+    orientation, used for the Raviart-Thomas flux degrees of freedom, is the
+    outward normal of its first side, which ``tet_face_signs`` marks with +1.
     """
 
     vertices: np.ndarray   # (nf, 3) sorted vertex triples
@@ -55,7 +55,7 @@ class FaceTable:
     boundary: np.ndarray   # (nf,) bool
     tet_faces: np.ndarray  # (nt, 4) global face index of local face i (opposite vertex i)
     tet_face_signs: np.ndarray  # (nt, 4) +1 on the first side of each face, else -1
-    columns: np.ndarray    # (nf,) nondecreasing column labels, narrowest unsigned type
+    columns: np.ndarray    # (nf,) column labels, narrowest unsigned type
 
     @property
     def n_faces(self):
@@ -177,7 +177,7 @@ def build_face_table(mesh):
     sides[interior, 1] = order[start[interior] + 1]
     corners = ranked[start]
     del order, ranked, first  # the slot arrays, off the column sort's peak
-    columns, by_column = _face_columns(mesh.vertices, corners)
+    columns, by_column = _face_columns(mesh.vertices, corners, ~interior)
     sides, interior, corners = sides[by_column], interior[by_column], corners[by_column]
     tet_faces = np.empty(4 * nt, dtype=np.int64)  # each slot is one face's side
     tet_faces[sides[:, 0]] = np.arange(len(start))
@@ -198,10 +198,10 @@ def build_face_table(mesh):
     return table
 
 
-def _face_columns(vertices, corners):
+def _face_columns(vertices, corners, boundary):
     """(columns, order): the stable order of the faces ``corners`` (sorted
-    vertex triples, lexicographic) by column, then by centroid z, and the
-    column label of each face in that order, in the narrowest unsigned type.
+    vertex triples, lexicographic) by ``boundary``, column and centroid z,
+    and the column label of each face in that order, narrowest unsigned type.
 
     A face's column is the bin of its centroid's (x, y) among the sorted
     distinct vertex x and y coordinates: the box column on the generated
@@ -215,11 +215,12 @@ def _face_columns(vertices, corners):
     xs, ys = np.unique(vertices[:, 0]), np.unique(vertices[:, 1])
     label = (np.searchsorted(xs, x, side="right") * (len(ys) + 1)
              + np.searchsorted(ys, y, side="right"))
-    # stable sorts by z, then by label: np.lexsort((z, label)), with the
-    # label sort a radix sort on the narrowest unsigned type that holds it
+    # np.lexsort((z, label, boundary)) as two stable sorts, the second a radix
+    # sort of flag and label in one key of the narrowest unsigned type
     order = np.argsort(z, kind="stable")
-    keys = label.astype(np.min_scalar_type(label.max()))[order]
-    return np.sort(keys, kind="stable"), order[np.argsort(keys, kind="stable")]
+    key = (label + (label.max() + 1) * boundary)[order]
+    order = order[np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")]
+    return label.astype(np.min_scalar_type(label.max()))[order], order
 
 
 def face_traces(mesh, a, b):

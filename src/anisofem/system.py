@@ -4,26 +4,25 @@ solvers.
 
 Assembly is vectorised over blocks of elements.  One builder forms the P1,
 CR and RT0 mass matrices: each block writes its local rows straight into a
-table that is a CSR matrix as it stands, a DOF's row made of the local rows
-of its tets, and the table sums its duplicates.  Dirichlet constraints use
-symmetric elimination, once, in the P1/CR block kernel: it zeroes the
-constrained rows and columns of every local matrix, and the builder puts a
-unit diagonal on the constrained rows, which keeps the P1/CR matrices
-symmetric positive definite.  CR and RT0 unknown k is face k of the face
-table, which runs column by column.  The mixed system is the symmetric
+table that is a CSR matrix as it stands, and the table sums its duplicates.
+Dirichlet constraints follow one rule: a constrained DOF is numbered after
+the free ones (the face table puts the boundary faces last, P1 ranks the
+free vertices first), and the builder gives it no row and no column, so the
+P1/CR matrices are the SPD free blocks.  The mixed system is the symmetric
 indefinite block matrix [[A, B^T], [B, 0]] over flux and cell unknowns;
 flux DOFs take their orientation from the face table's ``tet_face_signs``,
 so normal continuity holds by construction.
 
 The P1/CR assemblers take the data f as a callable, integrated against each
 basis function by the degree-5 rule, or as an array of its cell means, which
-is the load of the projected problem.  ``solve_spd`` runs the package's
-own CG loop once, from x = 0, preconditioned for CR by one banded Cholesky
-solve over the vertical face columns and for P1 by Jacobi.  ``converge``
-gets its RT0 rows from the enriched CR solution of ``equivalence``; the
-mixed system and its direct sparse LU solve are the independent oracle that
-``verify`` checks that reconstruction against.  Both solves end in one
-check of the true relative residual against tol (``_checked``).
+is the load of the projected problem.  ``solve_spd`` runs the package's own
+CG loop once, from x = 0, over the free unknowns, preconditioned for CR by
+one banded Cholesky solve over the vertical face columns and for P1 by
+Jacobi.  ``converge`` gets its RT0 rows from the enriched CR solution of
+``equivalence``; the mixed system and its direct sparse LU solve are the
+independent oracle that ``verify`` checks that reconstruction against.
+Both solves end in one check of the true relative residual against tol
+(``_checked``).
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +55,7 @@ class SparseSystem:
     rhs: np.ndarray
     kind: str                     # 'p1' | 'cr' | 'rt0'
     mesh: object
-    constrained: np.ndarray       # bool mask over all DOFs (unit rows)
+    constrained: np.ndarray       # bool mask over all DOFs; the matrix holds the others
 
 
 @dataclass
@@ -64,9 +63,9 @@ class Field:
     """A solved coefficient vector tagged with its finite-element space.
 
     coeffs holds vertex values (p1), face values (cr) or face-normal fluxes
-    (rt0); cell_coeffs holds the piecewise-constant part of the mixed
-    solution.  The per-element methods take the tets ``tets`` (an index into
-    ``mesh.tets``, all by default), so a pass can run block by block.
+    (rt0) on every DOF; cell_coeffs holds the piecewise-constant part of the
+    mixed solution.  The per-element methods take the tets ``tets`` (an index
+    into ``mesh.tets``, all by default), so a pass can run block by block.
     """
 
     space: str
@@ -124,10 +123,9 @@ class Field:
                            * faces.tet_face_signs[tets].T).T)
 
 
-def _local_kernel(kind, mesh, f, constrained):
+def _local_kernel(kind, mesh, f):
     """Block kernel s -> (local stiffness (nb, 4, 4), loads (nb, 4)) of the
-    tets s, with the symmetric elimination of the DOFs ``constrained``: a
-    local row or column of a constrained DOF is zero.
+    tets s, in local DOF order.
 
     The CR basis is ``elements.cr_shape``.  Every basis function has element
     integral |T|/4, so cell means f_T give the load |T| f_T / 4 per DOF.
@@ -138,7 +136,6 @@ def _local_kernel(kind, mesh, f, constrained):
     rule = tet_rule_degree5()
     basis = rule.points if kind == "p1" else cr_shape(rule.points)
     weighted = rule.weights[:, None] * basis
-    dofs = mesh.tets if kind == "p1" else mesh.faces.tet_faces
 
     def block(s):
         v = mesh.tet_vertices(s)
@@ -152,49 +149,43 @@ def _local_kernel(kind, mesh, f, constrained):
             vols = simplex_measure(v)
             loads = np.repeat((vols * np.asarray(f[s], dtype=float) / 4.0)[:, None],
                               4, axis=1)
-        local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
-        # only the local rows and columns of constrained DOFs, by index
-        t, i = np.nonzero(constrained[dofs[s]])
-        local[t, i, :] = 0.0
-        local[t, :, i] = 0.0
-        return local, loads
+        return vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads), loads
 
     return block
 
 
-def _assemble(dofs, order, kernel, constrained):
-    """The global matrix as CSR and the load vector from the block kernel
-    s -> (local rows (nb, 4, 4), loads (nb, 4) or None), whose local rows and
-    columns of the DOFs ``constrained`` are zero; those get a unit diagonal
-    and a zero load.
+def _assemble(dofs, order, kernel, n):
+    """CSR matrix and load vector of the DOFs 0 .. n-1 from the block kernel
+    s -> (local rows (nb, 4, 4), loads (nb, 4) or None).  A DOF numbered n or
+    above is constrained: it gets no row, and its column and load are dropped.
 
     Slot 4 t + i, local row i of tet t, belongs to DOF dofs[t, i], and
-    ``order`` lists the slots DOF by DOF, the lower slot first, skipping -1 (a
-    face's missing side in ``FaceTable.sides``).  Each block writes its local
-    rows and their column ids into a (4 nt, 4) table at the slots' places in
-    ``order``, which makes the table a CSR matrix, and adds its loads to the
-    load vector in slot order.  So a row reaches ``sum_duplicates`` in the
-    order ``coo_tocsr`` gives a scatter of the local matrices, and a load sums
-    as in one ``bincount``: the scatter's bits.  The sums leave the arrays as
-    prefixes of the table; compacting them one at a time, the smaller first,
-    keeps one table array off the peak.
+    ``order`` lists the slots DOF by DOF, the lower slot first, at least up to
+    the last free one.  Each block writes the local rows of its free slots and
+    their column ids into a table at the slots' places in ``order`` (a
+    constrained slot into a spare last row), which makes the table a CSR
+    matrix, and adds its loads in slot order.  So a row reaches
+    ``sum_duplicates`` in the order ``coo_tocsr`` gives a scatter of the local
+    matrices, constrained columns included, and a load sums as in one
+    ``bincount``: the scatter's bits.  Those columns hold zeros, which
+    ``eliminate_zeros`` drops with the exact zeros.
     """
-    n, nt = len(constrained), len(dofs)
-    order = order[order >= 0]
+    nt, counts = len(dofs), np.bincount(dofs.ravel())  # slots per DOF
     itype = np.int32 if 16 * nt < 2**31 else np.int64
-    place = np.empty(4 * nt, dtype=itype)
-    place[order] = np.arange(4 * nt, dtype=itype)
     indptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(4 * np.bincount(dofs.ravel(), minlength=n), out=indptr[1:])
-    first = indptr[:-1][constrained] // 4  # the place of a constrained DOF's first slot
-    diagonal = first, order[first] & 3
-    del order  # a slot list as long as the table, freed before it fills
-    table = np.empty((4 * nt, 4))
-    cols = np.empty((4 * nt, 4), dtype=itype)
-    rhs = np.zeros(n)
+    np.cumsum(4 * counts[:n], out=indptr[1:])
+    size, free = len(counts), int(indptr[-1]) // 4  # free slots: the table's rows
+    place = np.full(4 * nt, free, dtype=itype)
+    place[order[:free]] = np.arange(free, dtype=itype)
+    del counts, order
+    table = np.empty((free + 1, 4))
+    cols = np.empty((free + 1, 4), dtype=itype)
+    rhs = np.zeros(size)
 
     def block(s):
         local, loads = kernel(s)
+        t, j = np.nonzero(dofs[s] >= n)
+        local[t, :, j] = 0.0  # the couplings to constrained DOFs
         rows = place[4 * s.start:4 * s.stop].reshape(-1, 4)
         table[rows] = local
         cols[rows] = dofs[s][:, None, :]
@@ -203,15 +194,19 @@ def _assemble(dofs, order, kernel, constrained):
         return ()  # nothing to join
 
     per_block(nt, block)
-    rhs[constrained] = 0.0
-    table[diagonal] = 1.0
-    matrix = sp.csr_matrix((table.ravel(), cols.ravel(), indptr), shape=(n, n))
+    matrix = sp.csr_matrix((table[:free].ravel(), cols[:free].ravel(), indptr),
+                           shape=(n, size))
     del table, cols, place, dofs
     matrix.sum_duplicates()
     matrix.eliminate_zeros()
-    matrix.indices = matrix.indices.copy()
-    matrix.data = matrix.data.copy()
-    return matrix, rhs
+    # the sums' owners (the table, or scipy's copy) shrink in place: nothing
+    # views them once the matrix is gone
+    indptr, owners = matrix.indptr, [a if a.base is None else a.base
+                                     for a in (matrix.data, matrix.indices)]
+    del matrix
+    for a in owners:
+        a.resize(indptr[-1], refcheck=False)
+    return sp.csr_matrix((*owners, indptr), shape=(n, n)), rhs[:n]
 
 
 def assemble_p1(mesh, f):
@@ -219,15 +214,16 @@ def assemble_p1(mesh, f):
 
     The stiffness integrands are constant, hence exact.  A callable f gives
     the load as the degree-5 quadrature of f phi_i; an (nt,) array of cell
-    means f_T gives f_T times int phi_i = |T|/4.  A vertex row gathers the
-    local rows of all its tets (``_assemble``), its slots found by a stable
-    argsort of the tets' vertex ids.
+    means f_T gives f_T times int phi_i = |T|/4.  The unknowns are the free
+    vertices, ranked in vertex order before the boundary ones; a row's slots
+    come from a stable argsort of the tets' ranks (``_assemble``).
     """
     constrained = np.zeros(mesh.n_vertices, dtype=bool)
     constrained[np.unique(mesh.faces.vertices[mesh.faces.boundary])] = True
-    keys = mesh.tets.ravel().astype(np.min_scalar_type(mesh.n_vertices - 1))
-    matrix, rhs = _assemble(mesh.tets, np.argsort(keys, kind="stable"),
-                            _local_kernel("p1", mesh, f, constrained), constrained)
+    rank = np.argsort(np.argsort(constrained, kind="stable"))  # free ones first
+    dofs = rank.astype(np.min_scalar_type(mesh.n_vertices - 1))[mesh.tets]
+    matrix, rhs = _assemble(dofs, np.argsort(dofs.ravel(), kind="stable"),
+                            _local_kernel("p1", mesh, f), int((~constrained).sum()))
     return SparseSystem(matrix, rhs, "p1", mesh, constrained)
 
 
@@ -238,13 +234,12 @@ def assemble_cr(mesh, f):
     coordinates, and int_F theta_i = |F| delta_iF, so constraining boundary
     faces to zero enforces vanishing boundary face means.  f is a callable
     or an (nt,) array of cell means, as in ``assemble_p1``.  Unknown k is
-    face k of the face table, so the unknowns run column by column.  A row
-    gathers the local rows of the face's one or two sides (``_assemble``),
-    at most 7 distinct entries.
+    face k of the face table, which puts the interior faces first.  A row
+    gathers the local rows of the face's two sides, at most 7 entries.
     """
     faces = mesh.faces
-    kernel = _local_kernel("cr", mesh, f, faces.boundary)
-    matrix, rhs = _assemble(faces.tet_faces, faces.sides, kernel, faces.boundary)
+    matrix, rhs = _assemble(faces.tet_faces, faces.sides.ravel(),  # interior first
+                            _local_kernel("cr", mesh, f), int((~faces.boundary).sum()))
     return SparseSystem(matrix, rhs, "cr", mesh, faces.boundary)
 
 
@@ -264,9 +259,8 @@ def rt0_mass_matrix(mesh):
     gram = np.einsum("q,tqid,tqjd->tij", rule.weights, d, d)
     coef = faces.tet_face_signs * rt0_scales(local_face_geometry(mesh)[0], vols)
     local = vols[:, None, None] * coef[:, :, None] * coef[:, None, :] * gram
-    return _assemble(faces.tet_faces, faces.sides,
-                     lambda s: (local[s], None),
-                     np.zeros(faces.n_faces, dtype=bool))[0]
+    return _assemble(faces.tet_faces, faces.sides[faces.sides >= 0],
+                     lambda s: (local[s], None), faces.n_faces)[0]
 
 
 def assemble_rt0_mixed(mesh, f):
@@ -291,8 +285,7 @@ def assemble_rt0_mixed(mesh, f):
     f_int = integrate(tet_rule_degree5(), mesh.tet_vertices(), f)
     matrix = sp.bmat([[a_block, b_block.T], [b_block, None]], format="csr")
     rhs = np.concatenate([np.zeros(nf), -f_int])
-    constrained = np.zeros(nf + nt, dtype=bool)
-    return SparseSystem(matrix, rhs, "rt0", mesh, constrained)
+    return SparseSystem(matrix, rhs, "rt0", mesh, np.zeros(nf + nt, dtype=bool))
 
 
 def _checked(system, x, tol, iterations):
@@ -351,70 +344,75 @@ def _column_band(matrix, columns):
     diag(|C| w / w) - C is positive semidefinite (Gershgorin on its
     similarity by diag(w); Varga, Gersgorin and His Circles, 2004), so
     B <= B + diag(d) and A <= B + diag(d): the factor exists wherever B's
-    does, and the preconditioned eigenvalues lie in (0, 1].  The band and
-    the sums are filled a block of rows at a time, from slices of the CSR
-    arrays; the apply is one LAPACK ``pbtrs`` call, faster on the upper form.
+    does, and the preconditioned eigenvalues lie in (0, 1].  One pass over
+    the CSR rows, a block of rows at a time, fills the band, widening it when
+    a block reaches farther, and the sums.  The apply is one LAPACK
+    ``pbtrs`` call, faster on the upper form.
     """
-    n = matrix.shape[0]
+    n, itype = matrix.shape[0], matrix.indices.dtype
     per_row = np.diff(matrix.indptr)
     w = np.sqrt(matrix.diagonal())
-
-    def couplings(s):  # rows i, columns j, entries, and whether j is in i's column
-        i = np.repeat(np.arange(*s.indices(n)[:2]), per_row[s])
-        k = slice(matrix.indptr[s.start], matrix.indptr[s.start] + len(i))
-        j = matrix.indices[k]
-        return i, j, matrix.data[k], columns[i] == columns[j]
-
-    def reach(s):  # the farthest coupling inside a column, j - i
-        i, j, _, inside = couplings(s)
-        return np.array([np.max(j[inside] - i[inside], initial=0)])
-
-    width = int(per_block(n, reach).max())
-    band = np.zeros((width + 1, n), order="F")  # factored in place
+    band = np.zeros((0, n), order="F")  # factored in place
 
     def fill(s):  # the band's entries; sum_j |a_ij| w_j outside i's column
-        i, j, a, inside = couplings(s)
-        upper = inside & (j >= i)
-        band[width + i[upper] - j[upper], j[upper]] = a[upper]
-        out = ~inside
+        nonlocal band
+        i = np.repeat(np.arange(*s.indices(n)[:2], dtype=itype), per_row[s])
+        k = slice(matrix.indptr[s.start], matrix.indptr[s.start] + len(i))
+        j, a = matrix.indices[k], matrix.data[k]
+        inside = np.repeat(columns[s], per_row[s]) == columns[j]
+        upper = np.flatnonzero(inside & (j >= i))
+        reach, j_up = j[upper] - i[upper], j[upper]
+        width = reach.max(initial=0)
+        if width >= len(band):  # grown, the new rows on top
+            grown = np.zeros((width + 1, n), order="F")
+            grown[width + 1 - len(band):] = band
+            band = grown
+        flat = band.T.reshape(-1)  # band[width - reach, j], column-major
+        flat[j_up * np.int64(len(band)) + (len(band) - 1 - reach)] = a[upper]
+        out = np.flatnonzero(~inside)
         return np.bincount(i[out] - s.start, minlength=len(per_row[s]),
                            weights=np.abs(a[out]) * w[j[out]])
 
-    band[width] += per_block(n, fill) / w  # the diagonal
+    compensation = per_block(n, fill)
+    band[-1] += compensation / w  # the diagonal
     factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
-    return lambda r: dpbtrs(factor, r)[0], width
+    return lambda r: dpbtrs(factor, r)[0], len(band) - 1
 
 
 def solve_spd(system, tol=1e-10):
-    """Preconditioned conjugate gradients (``_pcg``) for the P1/CR systems:
-    one run from x = 0 to the recurrence tolerance tol / 4, then one check
-    (``_checked``) that the true relative residual is <= tol.
+    """Preconditioned conjugate gradients (``_pcg``) over the free unknowns
+    of a P1/CR system: one run from x = 0 to the recurrence tolerance tol / 4
+    and one check (``_checked``) that the true relative residual is <= tol;
+    then the solution goes on every DOF, zero on the constrained ones.
 
     The preconditioner follows the system's kind.  For CR it is the exact
     solve with the couplings inside each vertical face column, plus a
     diagonal that bounds the couplings between columns (``_column_band``):
     on the flat boxes of the anisotropic family the strong coupling runs
-    along z, which Jacobi misses, so its iteration count grows with N.  The
-    face table runs column by column, so a column is a run of unknowns and
-    an apply is one banded solve.  P1 keeps Jacobi.  ``solve_info`` names
-    the preconditioner that ran and the band's half-width (0 for Jacobi).
+    along z, which Jacobi misses, so its iteration count grows with N.  A
+    column is a run of unknowns, so an apply is one banded solve.  P1 keeps
+    Jacobi.  ``solve_info`` names the preconditioner, the band's half-width
+    (0 for Jacobi) and the number of unknowns.
     """
     if system.kind not in ("p1", "cr"):
         raise ValueError(f"solve_spd expects a p1 or cr system, got {system.kind!r}")
+    n = system.matrix.shape[0]
     if system.kind == "cr":
-        n, nf = system.matrix.shape[0], system.mesh.faces.n_faces
-        if n != nf:
-            raise ValueError(f"cr system of size {n} on a mesh with {nf} faces")
+        size, nf = len(system.constrained), system.mesh.faces.n_faces
+        if size != nf:
+            raise ValueError(f"cr system of size {size} on a mesh with {nf} faces")
         name = "column-band"
-        precondition, width = _column_band(system.matrix, system.mesh.faces.columns)
+        precondition, width = _column_band(system.matrix, system.mesh.faces.columns[:n])
     else:
         name, width = "jacobi", 0
         inv = 1.0 / system.matrix.diagonal()
         precondition = lambda r: inv * r
     x, iterations = _pcg(system.matrix, system.rhs, precondition, tol / 4.0)
     info = _checked(system, x, tol, iterations)
-    info.update(preconditioner=name, bandwidth=width)
-    return Field(system.kind, system.mesh, x, solve_info=info)
+    info.update(preconditioner=name, bandwidth=width, unknowns=n)
+    coeffs = np.zeros(len(system.constrained))
+    coeffs[~system.constrained] = x
+    return Field(system.kind, system.mesh, coeffs, solve_info=info)
 
 
 def solve_saddle(system, tol=1e-10):

@@ -6,7 +6,7 @@ import pytest
 
 import anisofem as af
 from anisofem.analysis import global_cr_interpolant
-from anisofem.quadrature import sample
+from anisofem.quadrature import map_points, sample
 
 from conftest import CASE
 
@@ -33,6 +33,17 @@ def test_manufactured_case_consistency():
             e[d] = h
             lap += (CASE.u(*(p + e)) - 2 * CASE.u(*p) + CASE.u(*(p - e))) / h ** 2
         assert abs(-lap - CASE.f(*p)) < 1e-6
+
+
+def test_value_alone_has_the_bits_of_the_solution():
+    # u skips the gradient but keeps solution's expression order: the same
+    # bits at the degree-5 points of the 4:8 mesh, in their planes layout
+    mesh = af.generate_aniso_cube(4, 8)
+    points, _ = map_points(af.tet_rule_degree5(), mesh.tet_vertices())
+    x, y, z = np.moveaxis(points, -1, 0)
+    value = CASE.u(x, y, z)
+    assert value.tobytes() == CASE.solution(x, y, z)[0].tobytes()
+    assert value.shape == x.shape and value.any()
 
 
 def test_gradient_consistency():
@@ -158,22 +169,22 @@ def test_triangle_inequality_sanity(cr_gamma15):
 
 
 def test_broken_h1_matches_stiffness_energy(cr_gamma15):
-    # the solution vanishes on the constrained faces, where the elimination
-    # changed the matrix
+    # the solution vanishes on the constrained faces, which the matrix leaves
+    # out
     row = cr_gamma15[0]
     mesh, field = row["mesh"], row["field"]
     zero_grad = lambda x, y, z: np.zeros(x.shape + (3,))
     broken = af.broken_h1_error(mesh, field, zero_grad)
     system = af.assemble_cr(mesh, CASE.f)
-    coeffs = field.coeffs
-    assert not coeffs[system.constrained].any()
+    assert not field.coeffs[system.constrained].any()
+    coeffs = field.coeffs[~system.constrained]
     energy = math.sqrt(coeffs @ system.matrix @ coeffs)
     assert abs(broken - energy) <= 1e-11 * energy
 
 
 def test_broken_h1_of_continuous_p1_field():
-    # a field that vanishes on the cube boundary, where the elimination
-    # changed the matrix
+    # a field that vanishes on the cube boundary, whose vertices the matrix
+    # leaves out
     mesh = af.generate_aniso_cube(4, 4)
     x, y, z = mesh.vertices.T
     coeffs = CASE.u(x, y, z) * (1.0 + 0.3 * x - 0.2 * y + 1.1 * z)
@@ -181,7 +192,8 @@ def test_broken_h1_of_continuous_p1_field():
     zero_grad = lambda x, y, z: np.zeros(x.shape + (3,))
     system = af.assemble_p1(mesh, CASE.f)
     assert not coeffs[system.constrained].any()
-    energy = math.sqrt(coeffs @ system.matrix @ coeffs)
+    free = coeffs[~system.constrained]  # the unknowns, in vertex order
+    energy = math.sqrt(free @ system.matrix @ free)
     assert abs(af.broken_h1_error(mesh, field, zero_grad) - energy) \
         <= 1e-12 * energy
 

@@ -25,13 +25,15 @@ def centroid(mesh, d):
 
 
 def assert_column_order(mesh, counter):
-    """The faces are the brute-force face set, in column order: columns
-    nondecreasing, centroid z nondecreasing within a column, and ties in
-    sorted-triple order."""
+    """The faces are the brute-force face set, interior faces first, each
+    part in column order: columns nondecreasing, centroid z nondecreasing
+    within a column, and ties in sorted-triple order."""
     table = mesh.faces
     assert sorted(map(tuple, table.vertices)) == sorted(counter)
-    assert (np.diff(table.columns.astype(np.int64)) >= 0).all()
-    keys = (*table.vertices.T[::-1], centroid(mesh, 2), table.columns)
+    assert (np.diff(table.boundary.astype(np.int64)) >= 0).all()
+    for part in (~table.boundary, table.boundary):
+        assert (np.diff(table.columns[part].astype(np.int64)) >= 0).all()
+    keys = (*table.vertices.T[::-1], centroid(mesh, 2), table.columns, table.boundary)
     assert np.array_equal(np.lexsort(keys), np.arange(table.n_faces))
 
 
@@ -108,15 +110,27 @@ def test_face_table_properties_under_relabelling(m, n, seed, b):
     _, gap = face_traces(mesh, np.zeros(mesh.n_tets), np.tile(b, (mesh.n_tets, 1)))
     assert gap <= 1e-14
 
-    # assembly does not depend on the ordering: matrices and right-hand sides
-    # agree entry for entry through the vertex and face correspondence
+    # assembly does not depend on the ordering: matrices and right-hand sides,
+    # put on every DOF, agree entry for entry through the vertex and face
+    # correspondence
     face_map = np.empty(base.faces.n_faces, dtype=np.int64)
     face_map[base.faces.tet_faces[perm]] = table.tet_faces
     for assemble, dof_map in ((af.assemble_p1, relabel), (af.assemble_cr, face_map)):
-        old, new = (assemble(on, CASE.f) for on in (base, mesh))
-        np.testing.assert_allclose(new.matrix.toarray()[np.ix_(dof_map, dof_map)],
-                                   old.matrix.toarray(), rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(new.rhs[dof_map], old.rhs, rtol=1e-13, atol=0.0)
+        old, new = (on_every_dof(assemble(on, CASE.f)) for on in (base, mesh))
+        np.testing.assert_allclose(new[0][np.ix_(dof_map, dof_map)], old[0],
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(new[1][dof_map], old[1], rtol=1e-13, atol=0.0)
+
+
+def on_every_dof(system):
+    """The dense matrix and load of a P1 or CR system on all its DOFs, the
+    free ones in order, zero on the constrained ones."""
+    free = np.flatnonzero(~system.constrained)
+    matrix = np.zeros((len(system.constrained),) * 2)
+    matrix[np.ix_(free, free)] = system.matrix.toarray()
+    rhs = np.zeros(len(system.constrained))
+    rhs[free] = system.rhs
+    return matrix, rhs
 
 
 def check_volume_counts_and_orientation(m, n):
@@ -239,12 +253,16 @@ def test_face_columns_partition_the_faces():
     m, n = 4, 16
     mesh = af.generate_aniso_cube(m, n)
     table = mesh.faces
-    nf = table.n_faces
-    # the columns are contiguous runs of faces, each bottom to top
+    nf, interior = table.n_faces, int((~table.boundary).sum())
+    # the interior faces are a prefix and the boundary faces the suffix; in
+    # each part the columns are contiguous runs of faces, each bottom to top
     assert table.columns.shape == (nf,)
-    assert (np.diff(table.columns.astype(int)) >= 0).all()
+    assert not table.boundary[:interior].any() and table.boundary[interior:].all()
     z = mesh.vertices[table.vertices, 2].mean(axis=1)
-    assert (np.diff(z)[np.diff(table.columns) == 0] >= -1e-15).all()
+    for part in (slice(None, interior), slice(interior, None)):
+        columns = table.columns[part].astype(int)
+        assert (np.diff(columns) >= 0).all()
+        assert (np.diff(z[part])[np.diff(columns) == 0] >= -1e-15).all()
     # the faces strictly inside box column (i, j) make up one column each
     xy = mesh.vertices[table.vertices, :2].mean(axis=1) * m
     inside = (np.abs(xy - np.round(xy)) > 1e-9).all(axis=1)
@@ -252,17 +270,17 @@ def test_face_columns_partition_the_faces():
     pairs = np.unique(np.stack([box, table.columns[inside]]), axis=1)
     assert pairs.shape[1] == m * m
     assert len(np.unique(pairs[1])) == m * m
-    # the CR system's unknowns are the faces in this order
+    # the CR system's unknowns are the interior faces in this order
     system = af.assemble_cr(mesh, CASE.f)
-    assert system.matrix.shape == (nf, nf)
+    assert system.matrix.shape == (interior, interior)
     assert np.array_equal(system.constrained, table.boundary)
 
 
 def test_face_column_order_is_the_lexsort():
-    # the two stable sorts (z, then the narrow-typed labels) give the
-    # lexsort order by label, z and sorted triple, on bins that are no
-    # longer box columns: the bin of the centroid's (x, y) among the
-    # distinct vertex coordinates
+    # the two stable sorts (z, then the narrow-typed boundary flag and label)
+    # give the lexsort order by boundary flag, label, z and sorted triple, on
+    # bins that are no longer box columns: the bin of the centroid's (x, y)
+    # among the distinct vertex coordinates
     mesh = jittered_cube(4, 16)
     table = mesh.faces
     xs, ys = (np.unique(mesh.vertices[:, d]) for d in range(2))
@@ -270,8 +288,9 @@ def test_face_column_order_is_the_lexsort():
              + np.searchsorted(ys, centroid(mesh, 1), side="right"))
     assert table.columns.dtype == np.min_scalar_type(label.max())
     assert np.array_equal(table.columns, label)
-    keys = (*table.vertices.T[::-1], centroid(mesh, 2), label)
+    keys = (*table.vertices.T[::-1], centroid(mesh, 2), label, table.boundary)
     assert np.array_equal(np.lexsort(keys), np.arange(table.n_faces))
+    assert table.boundary[-1] and not table.boundary[0]
 
 
 def test_validate_flags_missing_tet():

@@ -1,3 +1,4 @@
+import cProfile
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import anisofem as af
+from anisofem import geometry
 from anisofem.elements import cr_gradients, cr_shape
 from anisofem.geometry import signed_volumes, tet_gradients
 from anisofem.mesh import LOCAL_FACES, Mesh
@@ -32,31 +34,37 @@ def test_p1_zero_rhs_zero_solution():
 
 
 def test_p1_dimensions_published_row():
+    # the unknowns are the free vertices; the mask covers all of them
     mesh = af.generate_aniso_cube(4, 8)
     system = af.assemble_p1(mesh, CASE.f)
-    assert system.matrix.shape == (225, 225)
+    assert system.matrix.shape == (63, 63) and system.rhs.shape == (63,)
+    assert system.constrained.shape == (225,)
     assert int((~system.constrained).sum()) == (4 - 1) ** 2 * (8 - 1)
 
 
 def test_unconstrained_stiffness_annihilates_constants():
-    # the stiffness of a constant is zero, and the elimination leaves the rows
-    # whose columns are all unconstrained, those of DOFs with no constrained
-    # DOF on any of their tets, as they are
+    # the stiffness of a constant is zero, and dropping the constrained
+    # columns leaves the rows of DOFs with no constrained DOF on any of their
+    # tets as they are
     mesh = af.generate_aniso_cube(4, 8)
     for assemble, dofs in ((af.assemble_p1, mesh.tets),
                            (af.assemble_cr, mesh.faces.tet_faces)):
         system = assemble(mesh, CASE.f)
-        near = np.zeros(system.matrix.shape[0], dtype=bool)
+        near = system.constrained.copy()
         near[dofs[system.constrained[dofs].any(axis=1)]] = True
-        assert (~near).any()
+        far = ~near[~system.constrained]  # over the unknowns, in order
+        assert far.any() and not far.all()
         sums = system.matrix @ np.ones(system.matrix.shape[0])
-        assert np.abs(sums[~near]).max() < 1e-13 * np.abs(system.matrix.data).max()
+        assert np.abs(sums[far]).max() < 1e-13 * np.abs(system.matrix.data).max()
+        assert np.abs(sums[~far]).max() > 1e-3 * np.abs(system.matrix.data).max()
 
 
 def test_cr_dimensions_published_row():
+    # the unknowns are the interior faces; the mask covers all 1440
     mesh = af.generate_aniso_cube(4, 8)
     system = af.assemble_cr(mesh, CASE.f)
-    assert system.matrix.shape == (1440, 1440)
+    assert system.matrix.shape == (1120, 1120) and system.rhs.shape == (1120,)
+    assert system.constrained.shape == (1440,)
     assert int(system.constrained.sum()) == 320
 
 
@@ -68,20 +76,32 @@ def test_assembled_matrices_exactly_symmetric():
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
-def coo_scatter(element, mesh, f):
-    """The P1 or CR matrix and load through a COO scatter of all local
-    matrices, summed by ``tocsr``, and the mask of the boundary DOFs."""
+def system_dofs(element, mesh):
+    """(dofs (nt, 4), constrained): the DOF numbers of the P1 or CR system
+    on each tet, and the mask of the boundary vertices or faces, found from
+    the cube's faces and the face table: the boundary faces come after the
+    interior ones, and P1 ranks the vertices off the boundary first, in
+    vertex order."""
     faces = mesh.faces
+    if element == "cr":
+        return faces.tet_faces, faces.boundary
+    on_cube = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
+    rank = np.empty(mesh.n_vertices, dtype=np.int64)
+    rank[np.argsort(on_cube, kind="stable")] = np.arange(mesh.n_vertices)
+    return rank[mesh.tets], on_cube
+
+
+def coo_scatter(element, mesh, f):
+    """The P1 or CR matrix and load on every DOF, in the system's numbering,
+    through a COO scatter of all local matrices, summed by ``tocsr``, and the
+    mask of the boundary DOFs."""
+    dofs, constrained = system_dofs(element, mesh)
     v = mesh.tet_vertices()
     grads = tet_gradients(v)
     rule = af.tet_rule_degree5()
     basis = rule.points
     if element == "cr":
         grads, basis = cr_gradients(grads), cr_shape(rule.points)
-        dofs, constrained = faces.tet_faces, faces.boundary
-    else:
-        dofs = mesh.tets
-        constrained = ((mesh.vertices == 0.0) | (mesh.vertices == 1.0)).any(axis=1)
     vols = np.abs(signed_volumes(v))
     local = vols[:, None, None] * np.einsum("tik,tjk->tij", grads, grads)
     if callable(f):
@@ -89,34 +109,30 @@ def coo_scatter(element, mesh, f):
                                           sample(rule, v, f)[0])
     else:
         loads = np.repeat((vols * f / 4.0)[:, None], 4, axis=1)
-    n = len(constrained)
+    size = int(dofs.max()) + 1
     matrix = sp.coo_matrix((local.ravel(), (np.repeat(dofs, 4, axis=1).ravel(),
                                             np.tile(dofs, (1, 4)).ravel())),
-                           shape=(n, n)).tocsr()
-    rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=n)
+                           shape=(size, size)).tocsr()
+    rhs = np.bincount(dofs.ravel(), weights=loads.ravel(), minlength=size)
     return matrix, rhs, constrained
 
 
-def product_form(matrix, rhs, constrained):
-    """The symmetric elimination as a sparse product,
-    diag(free) A diag(free) + diag(constrained), and the zeroed load."""
+def free_block(matrix, rhs, n):
+    """The rows and columns of DOFs 0 .. n-1 of the symmetric elimination of
+    the DOFs n and above as a sparse product, diag(free) A diag(free) +
+    diag(constrained), and of the zeroed load."""
+    constrained = np.arange(len(rhs)) >= n
     keep = sp.diags((~constrained).astype(float))
     matrix = (keep @ matrix @ keep + sp.diags(constrained.astype(float))).tocsr()
-    return matrix, np.where(constrained, 0.0, rhs)
+    return matrix[:n, :n], np.where(constrained, 0.0, rhs)[:n]
 
 
-def built(element, mesh, f, constrained):
-    """The library's own matrix and load for any mask ``constrained``: its
+def built(element, mesh, f, n):
+    """The library's own matrix and load of DOFs 0 .. n-1 for any n: its
     block kernel and CSR builder, the slots ordered by a stable argsort."""
-    dofs = mesh.tets if element == "p1" else mesh.faces.tet_faces
+    dofs, _ = system_dofs(element, mesh)
     return _assemble(dofs, np.argsort(dofs.ravel(), kind="stable"),
-                     _local_kernel(element, mesh, f, constrained), constrained)
-
-
-def unconstrained(element, mesh, f):
-    """The library's own matrix and load with no DOF constrained."""
-    n = mesh.n_vertices if element == "p1" else mesh.faces.n_faces
-    return built(element, mesh, f, np.zeros(n, dtype=bool))
+                     _local_kernel(element, mesh, f), n)
 
 
 def oracle_case(mesh, data):
@@ -132,32 +148,33 @@ def assert_same_bits(a, b, name):
 
 @pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
 def test_constraints_in_place_match_product_form(assemble):
-    # oracle: diag(free) A diag(free) + diag(constrained) on the matrix the
-    # same kernel gives with no DOF constrained, the symmetric elimination
-    # as a sparse product
-    mesh = af.generate_aniso_cube(4, 8)
-    system = assemble(mesh, CASE.f)
-    matrix, rhs = unconstrained(system.kind, mesh, CASE.f)
-    oracle, rhs = product_form(matrix, rhs, system.constrained)
-    for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(system.matrix, attr), getattr(oracle, attr)), attr
-    assert np.array_equal(system.rhs, rhs)
+    # oracle: the free block of diag(free) A diag(free) + diag(constrained)
+    # on the matrix the same kernel and builder give with no DOF
+    # constrained, the symmetric elimination as a sparse product
+    for mesh in ("4:8", "jittered"):
+        mesh, _ = oracle_case(mesh, "f")
+        system = assemble(mesh, CASE.f)
+        matrix, rhs = built(system.kind, mesh, CASE.f, len(system.constrained))
+        oracle, rhs = free_block(matrix, rhs, system.matrix.shape[0])
+        for attr in ("indptr", "indices", "data"):
+            assert_same_bits(getattr(system.matrix, attr), getattr(oracle, attr), attr)
+        assert_same_bits(system.rhs, rhs, "rhs")
 
 
 @pytest.mark.parametrize("data", ["f", "means"])
 @pytest.mark.parametrize("mesh", ["4:8", "jittered"])
 @pytest.mark.parametrize("element", ["p1", "cr"])
 def test_assembly_matches_coo_oracle(element, mesh, data):
-    # both assemblers zero the constrained rows and columns of each local
-    # matrix, so they must give the CSR arrays of the scatter with the
-    # elimination applied afterwards, bit for bit: CR sums only the diagonal
-    # from two local entries, and a + b = b + a
+    # the builder drops the constrained rows and columns of the local
+    # matrices after sorting each row with them, so it must give the free
+    # block of the scatter with the elimination applied afterwards, bit for
+    # bit: CR sums only the diagonal from two local entries, and a + b = b + a
     mesh, data = oracle_case(mesh, data)
     assemble = af.assemble_p1 if element == "p1" else af.assemble_cr
     system = assemble(mesh, data)
     matrix, rhs, constrained = coo_scatter(element, mesh, data)
     assert np.array_equal(system.constrained, constrained)
-    matrix, rhs = product_form(matrix, rhs, constrained)
+    matrix, rhs = free_block(matrix, rhs, int((~constrained).sum()))
     for attr in ("indptr", "indices", "data"):
         assert_same_bits(getattr(system.matrix, attr), getattr(matrix, attr), attr)
     assert_same_bits(system.rhs, rhs, "rhs")
@@ -168,24 +185,31 @@ def test_assembly_matches_coo_oracle(element, mesh, data):
     ("4:8", "f", False),
 ])
 def test_cr_assembly_matches_coo_oracle(mesh, data, constrain):
-    # the CR builder against the scatter for masks assemble_cr never
-    # passes: none at all, and the boundary with every third face added, so
-    # that interior faces, with a local row on each side, are eliminated too;
-    # the builder drops the exact zeros of the local matrices, as the
-    # product form does
+    # the CR builder against the scatter for counts n of free DOFs that
+    # assemble_cr never passes: every face, and the interior faces less their
+    # last third, so that interior faces, with a local row on each side, are
+    # dropped too; the builder drops the exact zeros of the local matrices,
+    # as the product form does
     mesh, data = oracle_case(mesh, data)
     matrix, rhs, boundary = coo_scatter("cr", mesh, data)
-    mask = np.zeros_like(boundary)
-    if constrain:
-        mask = boundary | (np.arange(len(boundary)) % 3 == 0)
-        assert (mask & ~boundary).any()
-        matrix, rhs = product_form(matrix, rhs, mask)
-    else:
-        matrix.eliminate_zeros()
-    table_matrix, table_rhs = built("cr", mesh, data, mask)
+    interior = int((~boundary).sum())
+    n = interior - interior // 3 if constrain else len(rhs)
+    matrix, rhs = free_block(matrix, rhs, n)
+    table_matrix, table_rhs = built("cr", mesh, data, n)
     for attr in ("indptr", "indices", "data"):
         assert_same_bits(getattr(table_matrix, attr), getattr(matrix, attr), attr)
     assert_same_bits(table_rhs, rhs, "rhs")
+
+
+@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
+def test_assembly_under_a_profiler(assemble):
+    # the builder shrinks the arrays that own the sums in place, which a
+    # profiler's extra references to them must not stop
+    mesh = af.generate_aniso_cube(2, 2)
+    plain = assemble(mesh, CASE.f)
+    profiled = cProfile.Profile().runcall(assemble, mesh, CASE.f)
+    for attr in ("indptr", "indices", "data"):
+        assert_same_bits(getattr(profiled.matrix, attr), getattr(plain.matrix, attr), attr)
 
 
 @pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr,
@@ -263,7 +287,8 @@ def test_cg_loop_matches_scipy(assemble):
     # same iterates bit for bit, and the same iteration count
     system = assemble(af.generate_aniso_cube(4, 8), CASE.f)
     if system.kind == "cr":
-        apply, _ = af.system._column_band(system.matrix, system.mesh.faces.columns)
+        columns = system.mesh.faces.columns[:system.matrix.shape[0]]
+        apply, _ = af.system._column_band(system.matrix, columns)
         precond = spla.LinearOperator(system.matrix.shape, matvec=apply, dtype=float)
     else:
         inv = 1.0 / system.matrix.diagonal()
@@ -318,8 +343,11 @@ def test_non_finite_load_is_a_solver_error(kind):
 
 
 def assert_matches_spsolve(system, field):
+    # the unknowns, then zero on the constrained DOFs
     exact = spla.spsolve(system.matrix.tocsc(), system.rhs)
-    assert np.abs(field.coeffs - exact).max() <= 1e-9 * np.abs(exact).max()
+    coeffs = field.coeffs[~system.constrained]
+    assert np.abs(coeffs - exact).max() <= 1e-9 * np.abs(exact).max()
+    assert not field.coeffs[system.constrained].any()
 
 
 @pytest.mark.parametrize("m, n, jacobi, bound", [(4, 16, 95, 24),
@@ -343,8 +371,9 @@ def test_compensated_column_band_dominates_the_matrix(mesh):
     # narrow bins, so the band drops more couplings there
     mesh = jittered_cube(4, 8) if mesh == "jittered" else af.generate_aniso_cube(4, 8)
     system = af.assemble_cr(mesh, CASE.f)
-    apply, _ = af.system._column_band(system.matrix, system.mesh.faces.columns)
     n = system.matrix.shape[0]
+    columns = mesh.faces.columns[:n]  # the unknowns' columns
+    apply, _ = af.system._column_band(system.matrix, columns)
     precond = apply(np.eye(n))
     # M = L L^T, and L^T A L has the eigenvalues of M A
     lower = np.linalg.cholesky((precond + precond.T) / 2.0)
@@ -354,12 +383,33 @@ def test_compensated_column_band_dominates_the_matrix(mesh):
     assert eig.max() <= 1.0 + 1e-10
     # M inverts B~ formed entry by entry: a_ij inside a column, and
     # d_i = sum over j outside of |a_ij| sqrt(a_jj / a_ii)
-    inside = mesh.faces.columns[:, None] == mesh.faces.columns[None, :]
+    inside = columns[:, None] == columns[None, :]
     w = np.sqrt(np.diag(dense))
     d = (np.abs(np.where(inside, 0.0, dense)) @ w) / w
     reference = np.where(inside, dense, 0.0) + np.diag(d)
     assert (d > 0).any()
     assert np.abs(precond @ reference - np.eye(n)).max() < 1e-8
+
+
+@pytest.mark.parametrize("mesh", ["2:2", "4:8", "jittered"])
+def test_column_band_width_is_the_farthest_coupling_in_a_column(mesh, monkeypatch):
+    # the half-width the band learns in its one pass over the rows is the
+    # largest j - i over the nonzero a_ij of the dense matrix with i and j in
+    # one column; in blocks of 7 rows the band widens as later blocks reach
+    # farther, to the same factor
+    mesh = (jittered_cube(4, 8) if mesh == "jittered"
+            else af.generate_aniso_cube(*map(int, mesh.split(":"))))
+    system = af.assemble_cr(mesh, CASE.f)
+    n = system.matrix.shape[0]
+    columns = mesh.faces.columns[:n]
+    i, j = np.nonzero(system.matrix.toarray())
+    inside = columns[i] == columns[j]
+    apply, width = af.system._column_band(system.matrix, columns)
+    assert width == (j - i)[inside].max() > 0
+    monkeypatch.setattr(geometry, "BLOCK", 7)
+    small, small_width = af.system._column_band(system.matrix, columns)
+    r = np.random.default_rng(8).standard_normal(n)
+    assert small_width == width and small(r).tobytes() == apply(r).tobytes()
 
 
 def test_cr_column_preconditioner_off_the_grid():
@@ -376,11 +426,18 @@ def test_cr_column_preconditioner_off_the_grid():
 
 
 def test_solve_info_names_the_preconditioner():
+    # and the unknowns CG ran over: the interior faces (200 less 80 on the
+    # boundary) and the free vertices (3 of 45)
     mesh = af.generate_aniso_cube(2, 4)
+    keys = ("preconditioner", "bandwidth", "unknowns", "tol")
     cr = af.solve_spd(af.assemble_cr(mesh, CASE.f)).solve_info
-    assert (cr["preconditioner"], cr["bandwidth"]) == ("column-band", 5)
+    assert cr.keys() == {"iterations", "residual", *keys}
+    assert {k: cr[k] for k in keys} == {"preconditioner": "column-band", "bandwidth": 5,
+                                        "unknowns": 120, "tol": 1e-10}
     p1 = af.solve_spd(af.assemble_p1(mesh, CASE.f)).solve_info
-    assert (p1["preconditioner"], p1["bandwidth"]) == ("jacobi", 0)
+    assert p1.keys() == {"iterations", "residual", *keys}
+    assert {k: p1[k] for k in keys} == {"preconditioner": "jacobi", "bandwidth": 0,
+                                        "unknowns": 3, "tol": 1e-10}
     # the RT0 field reports the CR solve it was rebuilt from
     cr_field, gamma = af.enriched_cr_solve(mesh, CASE.f)
     rt, _ = af.marini_reconstruct(mesh, cr_field, gamma)
@@ -392,7 +449,7 @@ def test_galerkin_consistency():
     mesh = af.generate_aniso_cube(4, 8)
     system = af.assemble_cr(mesh, CASE.f)
     field = af.solve_spd(system, tol=1e-10)
-    res = np.linalg.norm(system.rhs - system.matrix @ field.coeffs)
+    res = np.linalg.norm(system.rhs - system.matrix @ field.coeffs[~system.constrained])
     assert res <= 1e-10 * np.linalg.norm(system.rhs)
 
 
