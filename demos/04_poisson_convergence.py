@@ -6,7 +6,8 @@ and the nonconforming CR element keeps clean first-order H1 and second-order
 L2 convergence.  Errors are normalised the way the reference tables are, by
 the L2 norm of (u_xx, u_yy, u_zz).
 
-Roughly a minute of compute; shrink PAIRS for a quicker pass.
+About 6 s of compute with BLAS on one thread (2-vCPU host), most of it the
+16:256 rows; shrink PAIRS for a quicker pass.
 """
 
 import anisofem as af

@@ -56,7 +56,7 @@ def cr_interpolate(vertices, f):
 def cr_interpolate_pointwise(vertices, f):
     """Crouzeix-Raviart coefficients sampled at the four face barycentres."""
     centres = face_geometry(np.asarray(vertices, dtype=float))[2]
-    return np.asarray(f(centres[:, 0], centres[:, 1], centres[:, 2]), dtype=float)
+    return np.asarray(f(*np.moveaxis(centres, -1, 0)), dtype=float)
 
 
 def rt_interpolate(vertices, v):

@@ -16,22 +16,22 @@ import numpy as np
 from .geometry import (LOCAL_FACES, affine_field, dot, face_geometry, gather,
                        per_block, signed_volumes)
 
-# Box corners are indexed b = di + 2*dj + 4*dk.  Each row below is one tet of
-# the 5-tet split (central tet first); _SPLIT_ODD is the mirror image used on
-# odd-parity boxes.
+# Box corners are indexed b = di + 2*dj + 4*dk.  Each row is one positively
+# oriented tet of the 5-tet split (central tet first) of the unit box, so of
+# every box, its positive scaling; _SPLIT_ODD mirrors it on odd-parity boxes.
 _SPLIT_EVEN = np.array([
-    [0, 3, 5, 6],
-    [1, 0, 3, 5],
+    [0, 3, 6, 5],
+    [1, 0, 5, 3],
     [2, 0, 3, 6],
-    [4, 0, 5, 6],
+    [4, 0, 6, 5],
     [7, 3, 5, 6],
 ])
 _SPLIT_ODD = np.array([
     [1, 2, 4, 7],
     [0, 1, 2, 4],
-    [3, 1, 2, 7],
+    [3, 1, 7, 2],
     [5, 1, 4, 7],
-    [6, 2, 4, 7],
+    [6, 2, 7, 4],
 ])
 
 
@@ -103,7 +103,8 @@ def generate_aniso_cube(M, N):
     positive even integer (the mirrored split needs an even checkerboard along
     the domain edges); N >= 1 divides the vertical direction.  Vertex v(i,j,k)
     sits at (i/M, j/M, k/N) and gets index i + (M+1)*j + (M+1)^2*k, so meshes
-    are reproducible byte for byte.
+    are reproducible byte for byte.  A box's tets are its lowest vertex id plus
+    the corner offsets of a split stored positively oriented: no flip pass.
 
     Resulting counts: (M+1)^2 (N+1) vertices, 5 M^2 N tets and
     10 M^2 N + 2 M^2 + 4 M N faces.
@@ -114,32 +115,17 @@ def generate_aniso_cube(M, N):
         raise ValueError(f"M must be even for a conforming mirrored split, got M={M}")
 
     mp = M + 1
-    ii, jj, kk = np.meshgrid(np.arange(mp), np.arange(mp), np.arange(N + 1),
-                             indexing="ij")
-    vid = (ii + mp * jj + mp * mp * kk).ravel()
-    vertices = np.empty((mp * mp * (N + 1), 3))
-    vertices[vid, 0] = (ii / M).ravel()
-    vertices[vid, 1] = (jj / M).ravel()
-    vertices[vid, 2] = (kk / N).ravel()
+    k, j, i = np.indices((N + 1, mp, mp)).reshape(3, -1)
+    vertices = np.stack([i / M, j / M, k / N], axis=1)
 
-    # boxes in k-major order, i fastest, matching the vertex numbering
-    bk, bj, bi = np.meshgrid(np.arange(N), np.arange(M), np.arange(M),
-                             indexing="ij")
-    bi, bj, bk = bi.ravel(), bj.ravel(), bk.ravel()
-    corners = np.stack(
-        [(bi + (b & 1)) + mp * (bj + ((b >> 1) & 1)) + mp * mp * (bk + ((b >> 2) & 1))
-         for b in range(8)],
-        axis=1,
-    )
-    odd = ((bi + bj + bk) % 2).astype(bool)
-    pattern = np.where(odd[:, None, None], _SPLIT_ODD[None], _SPLIT_EVEN[None])
-    tets = np.take_along_axis(
-        np.repeat(corners[:, None, :], 5, axis=1), pattern, axis=2
-    ).reshape(-1, 4)
-
-    flip = signed_volumes(gather(vertices, tets)) < 0
-    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    return Mesh(vertices, tets)
+    # boxes k-major, i fastest, named by their lowest vertex id, whose parity is
+    # the box's i + j + k as mp is odd; and the id offsets of corners b
+    base = np.arange(len(vertices)).reshape(N + 1, mp, mp)[:N, :M, :M].ravel()
+    corner = (np.array([0, 1, mp, mp + 1]) + [[0], [mp * mp]]).ravel()
+    tets = np.where((base & 1).astype(bool)[:, None, None],
+                    corner[_SPLIT_ODD], corner[_SPLIT_EVEN])
+    tets += base[:, None, None]
+    return Mesh(vertices, tets.reshape(-1, 4))
 
 
 def build_face_table(mesh):

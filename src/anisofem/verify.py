@@ -73,9 +73,10 @@ def equivalence_checks(flip_rt_signs, bubble_stiffness):
         cr, gamma = equivalence.enriched_cr_solve(
             msh, case.f, tol=1e-12, bubble_stiffness=bubble_stiffness)
         rt, jump = equivalence.marini_reconstruct(msh, cr, gamma)
-        direct = system.solve_saddle(
-            system.assemble_rt0_mixed(msh, case.f), tol=1e-12)
-        mass = system.rt0_mass_matrix(msh)
+        mixed = system.assemble_rt0_mixed(msh, case.f)
+        direct = system.solve_saddle(mixed, tol=1e-12)
+        nf = len(direct.coeffs)  # the flux block is the RT0 mass matrix
+        mass = mixed.matrix[:nf, :nf]
         vols = geometry.element_volumes(msh)
         dsig = rt.coeffs - direct.coeffs
         du = rt.cell_coeffs - direct.cell_coeffs

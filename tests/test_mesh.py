@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import anisofem as af
-from anisofem.mesh import Mesh, face_traces
+from anisofem.geometry import signed_volumes
+from anisofem.mesh import _SPLIT_EVEN, _SPLIT_ODD, Mesh, face_traces
 
 from conftest import CASE, jittered_cube
+
+# the 5-tet splits as first written, before their rows were oriented
+UNORIENTED_EVEN = [[0, 3, 5, 6], [1, 0, 3, 5], [2, 0, 3, 6], [4, 0, 5, 6], [7, 3, 5, 6]]
+UNORIENTED_ODD = [[1, 2, 4, 7], [0, 1, 2, 4], [3, 1, 2, 7], [5, 1, 4, 7], [6, 2, 4, 7]]
+# corner b = di + 2 dj + 4 dk of the unit box
+UNIT_BOX = np.array([[b & 1, (b >> 1) & 1, b >> 2] for b in range(8)], dtype=float)
 
 
 def brute_force_faces(tets):
@@ -171,6 +178,39 @@ def test_vertex_indexing_convention():
         k = rng.integers(0, n + 1)
         idx = i + (m + 1) * j + (m + 1) ** 2 * k
         assert np.allclose(mesh.vertices[idx], (i / m, j / m, k / n))
+
+
+def reference_cube(m, n):
+    """(vertices, tets) of the cube mesh built box by box from the unoriented
+    splits, every tet of negative volume flipped by swapping its last two
+    vertices."""
+    mp = m + 1
+    vertices = np.array([(i / m, j / m, k / n) for k in range(n + 1)
+                         for j in range(mp) for i in range(mp)])
+    tets = []
+    for k, j, i in itertools.product(range(n), range(m), range(m)):
+        corner = [i + (b & 1) + mp * (j + ((b >> 1) & 1)) + mp * mp * (k + (b >> 2))
+                  for b in range(8)]
+        split = UNORIENTED_ODD if (i + j + k) % 2 else UNORIENTED_EVEN
+        tets += [[corner[c] for c in row] for row in split]
+    tets = np.array(tets, dtype=np.int64)
+    flip = signed_volumes(vertices[tets]) < 0
+    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+    return vertices, tets
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 8), (6, 3)])
+def test_generator_matches_box_by_box_reference(m, n):
+    mesh = af.generate_aniso_cube(m, n)
+    for got, want in zip((mesh.vertices, mesh.tets), reference_cube(m, n)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_split_tables_are_positively_oriented():
+    for split in (_SPLIT_EVEN, _SPLIT_ODD):
+        assert (signed_volumes(UNIT_BOX[split]) > 0).all()
 
 
 @pytest.mark.parametrize("m,n", [(3, 4), (1, 1), (0, 2), (4, 0), (-2, 3)])

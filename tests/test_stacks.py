@@ -42,6 +42,8 @@ CASES = [
     ("p0_project", lambda v, p: af.p0_project(
         v, lambda x, y, z: x * x + y), [()], True),
     ("cr_interpolate", lambda v, p: af.cr_interpolate(v, _vector), [(4, 2)], True),
+    ("cr_interpolate_pointwise", lambda v, p: af.cr_interpolate_pointwise(
+        v, lambda x, y, z: x * y + z), [(4,)], True),
     ("barycentric_coords", lambda v, p: af.barycentric_coords(v, p), [(5, 4)], True),
     ("barycentric_gradients", lambda v, p: af.geometry.tet_gradients(v),
      [(4, 3)], True),
