@@ -48,6 +48,13 @@ class FaceTable:
     boundary, so ``sides // 4`` gives the incident tets.  A face's global
     orientation, used for the Raviart-Thomas flux degrees of freedom, is the
     outward normal of its first side, which ``tet_face_signs`` marks with +1.
+
+    Each field is stored at the narrowest type its values need: ``sides``
+    and ``tet_faces`` are int32, or int64 once 4 nt reaches 2^31;
+    ``vertices`` is int32, or int64 once the vertex count reaches 2^31;
+    ``tet_face_signs`` is int8; ``boundary`` is bool and ``columns`` the
+    narrowest unsigned type of its labels.  Readers index with these arrays
+    or multiply them into float64, so every value keeps its bits.
     """
 
     vertices: np.ndarray   # (nf, 3) sorted vertex triples
@@ -158,21 +165,22 @@ def build_face_table(mesh):
                          f"{counts.max()} incident tets")
 
     interior = counts == 2
-    sides = np.full((len(start), 2), -1, dtype=np.int64)
+    itype = _index_type(4 * nt)  # slots, and faces, of which there are fewer
+    sides = np.full((len(start), 2), -1, dtype=itype)
     sides[:, 0] = order[start]
     sides[interior, 1] = order[start[interior] + 1]
     corners = ranked[start]
     del order, ranked, first  # the slot arrays, off the column sort's peak
     columns, by_column = _face_columns(mesh.vertices, corners, ~interior)
     sides, interior, corners = sides[by_column], interior[by_column], corners[by_column]
-    tet_faces = np.empty(4 * nt, dtype=np.int64)  # each slot is one face's side
-    tet_faces[sides[:, 0]] = np.arange(len(start))
+    tet_faces = np.empty(4 * nt, dtype=itype)  # each slot is one face's side
+    tet_faces[sides[:, 0]] = np.arange(len(start), dtype=itype)
     tet_faces[sides[interior, 1]] = np.flatnonzero(interior)
 
-    signs = np.full(4 * nt, -1.0)
-    signs[sides[:, 0]] = 1.0
+    signs = np.full(4 * nt, -1, dtype=np.int8)
+    signs[sides[:, 0]] = 1
     table = FaceTable(
-        vertices=corners.astype(np.int64),
+        vertices=corners.astype(_index_type(mesh.n_vertices)),  # signed ids
         sides=sides,
         boundary=~interior,
         tet_faces=tet_faces.reshape(nt, 4),
@@ -182,6 +190,11 @@ def build_face_table(mesh):
     for arr in vars(table).values():
         arr.setflags(write=False)
     return table
+
+
+def _index_type(count):
+    """int32 for the ids 0 .. count - 1 where they fit, else int64."""
+    return np.int32 if count < 2**31 else np.int64
 
 
 def _face_columns(vertices, corners, boundary):

@@ -33,6 +33,7 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
 from .elements import cr_gradients, cr_shape
+from .mesh import _index_type
 from .geometry import (affine_field, element_volumes, from_barycentric,
                        local_face_geometry, per_block, rt0_affine, rt0_scales,
                        simplex_measure, tet_gradients)
@@ -171,7 +172,7 @@ def _assemble(dofs, order, kernel, n):
     ``eliminate_zeros`` drops with the exact zeros.
     """
     nt, counts = len(dofs), np.bincount(dofs.ravel())  # slots per DOF
-    itype = np.int32 if 16 * nt < 2**31 else np.int64
+    itype = _index_type(16 * nt)
     indptr = np.zeros(n + 1, dtype=itype)
     np.cumsum(4 * counts[:n], out=indptr[1:])
     size, free = len(counts), int(indptr[-1]) // 4  # free slots: the table's rows
@@ -250,6 +251,11 @@ def rt0_mass_matrix(mesh):
     values are exact.  Part of the mixed-system oracle, so it keeps its own
     mapping of the rule's points.
     """
+    return _rt0_mass(mesh, local_face_geometry(mesh)[0])
+
+
+def _rt0_mass(mesh, areas):
+    """``rt0_mass_matrix`` of ``mesh`` from its local face areas (nt, 4)."""
     faces = mesh.faces
     v = np.ascontiguousarray(mesh.tet_vertices())  # the oracle's sums run in C order
     vols = element_volumes(mesh)
@@ -257,7 +263,7 @@ def rt0_mass_matrix(mesh):
     x = np.einsum("qi,tid->tqd", rule.points, v)
     d = x[:, :, None, :] - v[:, None, :, :]                 # (nt, nq, 4, 3)
     gram = np.einsum("q,tqid,tqjd->tij", rule.weights, d, d)
-    coef = faces.tet_face_signs * rt0_scales(local_face_geometry(mesh)[0], vols)
+    coef = faces.tet_face_signs * rt0_scales(areas, vols)
     local = vols[:, None, None] * coef[:, :, None] * coef[:, None, :] * gram
     return _assemble(faces.tet_faces, faces.sides[faces.sides >= 0],
                      lambda s: (local[s], None), faces.n_faces)[0]
@@ -274,7 +280,7 @@ def assemble_rt0_mixed(mesh, f):
     nf, nt = faces.n_faces, mesh.n_tets
     areas, _, _ = local_face_geometry(mesh)
 
-    a_block = rt0_mass_matrix(mesh)
+    a_block = _rt0_mass(mesh, areas)
     signed_areas = faces.tet_face_signs * areas
     b_block = sp.coo_matrix(
         (signed_areas.ravel(),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import anisofem as af
 from anisofem.geometry import signed_volumes
-from anisofem.mesh import _SPLIT_EVEN, _SPLIT_ODD, Mesh, face_traces
+from anisofem.mesh import _SPLIT_EVEN, _SPLIT_ODD, Mesh, _index_type, face_traces
 
 from conftest import CASE, jittered_cube
 
@@ -66,13 +67,14 @@ def test_boundary_face_counts(m, n, boundary):
 def test_face_table_against_brute_force_enumeration():
     # the slot keys use the narrowest unsigned type of the vertex ids: pad
     # puts that many unused vertices first, so that at 60,000 the uint16
-    # vertex sums wrap around and at 70,000 the keys are uint32
+    # vertex sums wrap around and at 70,000 the keys are uint32; the table
+    # holds the triples as signed int32, never as the wrapped keys
     base = af.generate_aniso_cube(2, 2)
     for pad in (0, 60_000, 70_000):
         mesh = Mesh(np.vstack([np.zeros((pad, 3)), base.vertices]), base.tets + pad)
         counter = brute_force_faces(mesh.tets)
         table = mesh.faces
-        assert table.vertices.dtype == np.int64
+        assert table.vertices.dtype == np.int32
         assert table.n_faces == len(counter)
         assert_column_order(mesh, counter)
         for tri, row, bnd in zip(table.vertices, table.sides // 4, table.boundary):
@@ -227,6 +229,24 @@ def test_single_tet_face_table():
     assert table.boundary.all()
     # every face of a lone tet is oriented by its own outward normal
     assert (table.tet_face_signs == 1.0).all()
+
+
+def test_face_table_storage():
+    # each field at the narrowest type its values need: the live table is
+    # 66 bytes a tet at 8:64, 152 with int64 indices and float64 signs
+    mesh = af.generate_aniso_cube(8, 64)
+    tracemalloc.start()
+    try:
+        table = af.build_face_table(mesh)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.sides.dtype == table.tet_faces.dtype == np.int32
+    assert table.vertices.dtype == np.int32
+    assert table.tet_face_signs.dtype == np.int8
+    assert live / mesh.n_tets <= 70
+    # ids from 2^31 on fall back to int64
+    assert _index_type(2**31 - 1) is np.int32 and _index_type(2**31) is np.int64
 
 
 def test_interior_normals_oppose():

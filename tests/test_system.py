@@ -516,6 +516,19 @@ def test_rt0_assembly_matches_two_tet_oracle():
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
 
 
+def test_mixed_assembly_computes_face_geometry_once(monkeypatch):
+    # the B block's areas and the mass matrix's scales share one per-tet pass
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh)
+        return geometry.local_face_geometry(mesh)
+
+    monkeypatch.setattr(af.system, "local_face_geometry", counted)
+    af.assemble_rt0_mixed(af.generate_aniso_cube(2, 2), CASE.f)
+    assert len(calls) == 1
+
+
 def test_saddle_solve_matches_dense_lu():
     mesh = two_tet_mesh()
     system = af.assemble_rt0_mixed(mesh, CASE.f)
