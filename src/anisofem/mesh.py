@@ -10,6 +10,7 @@ and the mesh is conforming.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,15 +74,21 @@ class Mesh:
     """Immutable tetrahedral mesh: vertex coordinates plus vertex 4-tuples.
 
     Tets are stored positively oriented (signed volume > 0).  The face table
-    is built on first access and cached.
+    is built on first access and cached.  Raises ValueError unless the
+    vertices are (nv, 3), the tets (nt, 4) and every vertex id in 0 .. nv - 1.
     """
 
     def __init__(self, vertices, tets):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.tets = np.ascontiguousarray(tets, dtype=np.int64)
+        if self.vertices.shape[1:] != (3,) or self.tets.shape[1:] != (4,):
+            raise ValueError(f"need (nv, 3) vertices and (nt, 4) tets, got "
+                             f"{self.vertices.shape} and {self.tets.shape}")
+        if self.tets.size and (self.tets.min() < 0
+                               or self.tets.max() >= len(self.vertices)):
+            raise ValueError(f"vertex ids outside 0 .. {len(self.vertices) - 1}")
         self.vertices.setflags(write=False)
         self.tets.setflags(write=False)
-        self._faces = None
 
     @property
     def n_vertices(self):
@@ -91,11 +98,9 @@ class Mesh:
     def n_tets(self):
         return len(self.tets)
 
-    @property
+    @cached_property
     def faces(self):
-        if self._faces is None:
-            self._faces = build_face_table(self)
-        return self._faces
+        return build_face_table(self)
 
     def tet_vertices(self, index=slice(None)):
         """Vertex coordinates of one tet (4, 3) or of the tets ``index`` (nb,
@@ -144,12 +149,11 @@ def build_face_table(mesh):
     nt = mesh.n_tets
     if nt == 0:
         raise ValueError("empty mesh")
-    # each of the 4 nt slots' sorted vertex triple (min, sum - min - max, max)
-    # of narrowed vertex ids: the sum may wrap around, mid is exact mod 2^bits
+    # each of the 4 nt slots' sorted triple of narrowed vertex ids
     ids = mesh.tets.astype(np.min_scalar_type(mesh.n_vertices - 1))
     a, b, c = (ids[:, LOCAL_FACES[:, j]].ravel() for j in range(3))
     lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    mid = a + b + c - lo - hi
+    mid = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
     del a, b, c, ids
     # one stable sort of the slots: equal triples end up adjacent, lower
     # slot first, and the groups come out in lexicographic order
@@ -214,12 +218,9 @@ def _face_columns(vertices, corners, boundary):
     xs, ys = np.unique(vertices[:, 0]), np.unique(vertices[:, 1])
     label = (np.searchsorted(xs, x, side="right") * (len(ys) + 1)
              + np.searchsorted(ys, y, side="right"))
-    # np.lexsort((z, label, boundary)) as two stable sorts, the second a radix
-    # sort of flag and label in one key of the narrowest unsigned type
-    order = np.argsort(z, kind="stable")
-    key = (label + (label.max() + 1) * boundary)[order]
-    order = order[np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")]
-    return label.astype(np.min_scalar_type(label.max()))[order], order
+    label = label.astype(np.min_scalar_type(label.max()))  # also a faster sort key
+    order = np.lexsort((z, label, boundary))
+    return label[order], order
 
 
 def face_traces(mesh, a, b):
@@ -274,19 +275,13 @@ def validate_conformity(mesh):
                                 messages + [str(exc)])
 
     histogram = {1: int(faces.boundary.sum()), 2: int((~faces.boundary).sum())}
-    single = faces.vertices[faces.boundary]
-    if len(single):
-        pts = mesh.vertices[single]
-        # a face lies on the cube boundary iff all three vertices share one
-        # coordinate plane x_a = 0 or x_a = 1
-        on_cube = np.zeros(len(single), dtype=bool)
-        for axis in range(3):
-            for value in (0.0, 1.0):
-                on_cube |= np.isclose(pts[:, :, axis], value,
-                                      atol=1e-12).all(axis=1)
-        stray = int((~on_cube).sum())
-        if stray:
-            messages.append(f"{stray} singly-incident faces not on the cube boundary")
+    # a face lies on the cube boundary iff all three vertices share one
+    # coordinate plane x_a = 0 or x_a = 1
+    on_plane = np.isclose(mesh.vertices[faces.vertices[faces.boundary]][..., None],
+                          [0.0, 1.0], atol=1e-12)
+    stray = int((~on_plane.all(axis=1).any(axis=(1, 2))).sum())
+    if stray:
+        messages.append(f"{stray} singly-incident faces not on the cube boundary")
 
     return ConformityReport(not messages, volume_sum, histogram, orientation_ok,
                             messages)
@@ -300,10 +295,8 @@ def write_vtk(mesh, path):
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y, z in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        np.savetxt(f, mesh.vertices, fmt="%.17g")
         f.write(f"\nCELLS {mesh.n_tets} {5 * mesh.n_tets}\n")
-        for tet in mesh.tets:
-            f.write("4 " + " ".join(str(v) for v in tet) + "\n")
+        np.savetxt(f, mesh.tets, fmt="4 %d %d %d %d")
         f.write(f"\nCELL_TYPES {mesh.n_tets}\n")
         f.write("\n".join(["10"] * mesh.n_tets) + "\n")

@@ -95,13 +95,9 @@ class Field:
 
     def element_values(self, bary, tets=slice(None)):
         """Values at barycentric points ``bary`` (nq, 4) on every element, (nt,
-        nq), summed as (t0 + t2) + (t1 + t3), as einsum did on C-ordered rows."""
+        nq) with the tet index innermost."""
         basis = np.asarray(bary) if self.space == "p1" else cr_shape(bary)
-        t = [basis[:, i, None] * c for i, c in enumerate(self.element_coeffs(tets).T)]
-        t[0] += t[2]
-        t[1] += t[3]
-        t[0] += t[1]
-        return t[0].T
+        return np.einsum("qi,ti->tq", basis, self.element_coeffs(tets), order="F")
 
     def flux_values(self, bary, tets=slice(None)):
         """RT0 vector values at barycentric points, (nt, nq, 3)."""
@@ -373,8 +369,7 @@ def _column_band(matrix, columns):
             grown = np.zeros((width + 1, n), order="F")
             grown[width + 1 - len(band):] = band
             band = grown
-        flat = band.T.reshape(-1)  # band[width - reach, j], column-major
-        flat[j_up * np.int64(len(band)) + (len(band) - 1 - reach)] = a[upper]
+        band[len(band) - 1 - reach, j_up] = a[upper]
         out = np.flatnonzero(~inside)
         return np.bincount(i[out] - s.start, minlength=len(per_row[s]),
                            weights=np.abs(a[out]) * w[j[out]])

@@ -66,9 +66,8 @@ def test_boundary_face_counts(m, n, boundary):
 
 def test_face_table_against_brute_force_enumeration():
     # the slot keys use the narrowest unsigned type of the vertex ids: pad
-    # puts that many unused vertices first, so that at 60,000 the uint16
-    # vertex sums wrap around and at 70,000 the keys are uint32; the table
-    # holds the triples as signed int32, never as the wrapped keys
+    # puts that many unused vertices first, so that at 60,000 the keys are
+    # uint16 and at 70,000 uint32; the table holds the triples as signed int32
     base = af.generate_aniso_cube(2, 2)
     for pad in (0, 60_000, 70_000):
         mesh = Mesh(np.vstack([np.zeros((pad, 3)), base.vertices]), base.tets + pad)
@@ -337,10 +336,9 @@ def test_face_columns_partition_the_faces():
 
 
 def test_face_column_order_is_the_lexsort():
-    # the two stable sorts (z, then the narrow-typed boundary flag and label)
-    # give the lexsort order by boundary flag, label, z and sorted triple, on
-    # bins that are no longer box columns: the bin of the centroid's (x, y)
-    # among the distinct vertex coordinates
+    # the faces come in lexsort order by boundary flag, label, z and sorted
+    # triple, on bins that are no longer box columns: the bin of the
+    # centroid's (x, y) among the distinct vertex coordinates
     mesh = jittered_cube(4, 16)
     table = mesh.faces
     xs, ys = (np.unique(mesh.vertices[:, d]) for d in range(2))
@@ -365,6 +363,15 @@ def test_validate_flags_missing_tet():
     assert any("singly-incident" in msg for msg in report.messages)
 
 
+def test_validate_needs_one_shared_cube_plane():
+    # each vertex of the lone corner tet's slanted face lies on some cube
+    # plane, but the three share none: that face alone is stray
+    mesh = Mesh(np.array([[0., 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                np.array([[0, 1, 2, 3]]))
+    report = af.validate_conformity(mesh)
+    assert "1 singly-incident faces not on the cube boundary" in report.messages
+
+
 def test_validate_flags_flipped_tet():
     mesh = af.generate_aniso_cube(2, 2)
     tets = mesh.tets.copy()
@@ -372,6 +379,20 @@ def test_validate_flags_flipped_tet():
     report = af.validate_conformity(Mesh(mesh.vertices.copy(), tets))
     assert not report.orientation_ok
     assert not report.ok
+
+
+def test_mesh_rejects_malformed_input():
+    corner = np.eye(4, 3)
+    for vertices, tets in [(np.zeros((4, 2)), [[0, 1, 2, 3]]),  # not (nv, 3)
+                           (corner, [[0, 1, 2]]),                # not (nt, 4)
+                           (corner, [[0, 1, 2, 259]]),  # read as vertex 3 at uint8
+                           (corner, [[-1, 1, 2, 3]])]:
+        with pytest.raises(ValueError):
+            Mesh(vertices, tets)
+    # the empty mesh stays valid; the face table still refuses it
+    empty = Mesh(np.zeros((0, 3)), np.zeros((0, 4), dtype=int))
+    with pytest.raises(ValueError, match="empty mesh"):
+        empty.faces
 
 
 def test_nonmanifold_raises():
@@ -383,13 +404,22 @@ def test_nonmanifold_raises():
 
 
 def test_vtk_export(tmp_path):
-    mesh = af.generate_aniso_cube(2, 2)
+    # an exact round trip: %.17g gives back every float64 coordinate, also
+    # the jittered ones, which are not short decimals
     path = tmp_path / "mesh.vtk"
-    af.write_vtk(mesh, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# vtk DataFile")
-    assert "DATASET UNSTRUCTURED_GRID" in lines
-    pts_at = lines.index(f"POINTS {mesh.n_vertices} double")
-    first = np.array(lines[pts_at + 1].split(), dtype=float)
-    assert np.allclose(first, mesh.vertices[0])
-    assert lines.count("10") == mesh.n_tets
+    for mesh in (af.generate_aniso_cube(2, 2), jittered_cube(2, 4)):
+        af.write_vtk(mesh, path)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# vtk DataFile")
+        assert "DATASET UNSTRUCTURED_GRID" in lines
+        at = lines.index(f"POINTS {mesh.n_vertices} double") + 1
+        points = np.array([line.split() for line in lines[at:at + mesh.n_vertices]],
+                          dtype=np.float64)
+        assert np.array_equal(points, mesh.vertices)
+        at = lines.index(f"CELLS {mesh.n_tets} {5 * mesh.n_tets}") + 1
+        cells = np.array([line.split() for line in lines[at:at + mesh.n_tets]],
+                         dtype=np.int64)
+        assert (cells[:, 0] == 4).all()
+        assert np.array_equal(cells[:, 1:], mesh.tets)
+        at = lines.index(f"CELL_TYPES {mesh.n_tets}") + 1
+        assert lines[at:] == ["10"] * mesh.n_tets
