@@ -171,7 +171,7 @@ def convergence_indicator(errors):
 
 def global_cr_interpolant(mesh, u_exact):
     """Face-mean CR interpolant of a continuous function as a global Field."""
-    coeffs = mean(tri_rule_midpoint3(), mesh.vertices[mesh.faces.vertices], u_exact)
+    coeffs = mean(tri_rule_midpoint3(), mesh.vertices[mesh.face_vertices()], u_exact)
     return Field("cr", mesh, coeffs)
 
 

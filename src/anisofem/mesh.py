@@ -52,13 +52,13 @@ class FaceTable:
 
     Each field is stored at the narrowest type its values need: ``sides``
     and ``tet_faces`` are int32, or int64 once 4 nt reaches 2^31;
-    ``vertices`` is int32, or int64 once the vertex count reaches 2^31;
     ``tet_face_signs`` is int8; ``boundary`` is bool and ``columns`` the
     narrowest unsigned type of its labels.  Readers index with these arrays
-    or multiply them into float64, so every value keeps its bits.
+    or multiply them into float64, so every value keeps its bits.  The
+    faces' vertex triples are not stored: ``Mesh.face_vertices`` derives
+    them from the first sides.
     """
 
-    vertices: np.ndarray   # (nf, 3) sorted vertex triples
     sides: np.ndarray      # (nf, 2) flat slots 4 t + i, second entry -1 on the boundary
     boundary: np.ndarray   # (nf,) bool
     tet_faces: np.ndarray  # (nt, 4) global face index of local face i (opposite vertex i)
@@ -67,26 +67,28 @@ class FaceTable:
 
     @property
     def n_faces(self):
-        return len(self.vertices)
+        return len(self.sides)
 
 
 class Mesh:
     """Immutable tetrahedral mesh: vertex coordinates plus vertex 4-tuples.
 
-    Tets are stored positively oriented (signed volume > 0).  The face table
-    is built on first access and cached.  Raises ValueError unless the
-    vertices are (nv, 3), the tets (nt, 4) and every vertex id in 0 .. nv - 1.
+    Tets are stored positively oriented (signed volume > 0), as int32, or
+    int64 once the vertex count reaches 2^31.  The face table is built on
+    first access and cached.  Raises ValueError unless the vertices are
+    (nv, 3), the tets (nt, 4) and every vertex id in 0 .. nv - 1.
     """
 
     def __init__(self, vertices, tets):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.tets = np.ascontiguousarray(tets, dtype=np.int64)
-        if self.vertices.shape[1:] != (3,) or self.tets.shape[1:] != (4,):
+        tets = np.asarray(tets)
+        if self.vertices.shape[1:] != (3,) or tets.shape[1:] != (4,):
             raise ValueError(f"need (nv, 3) vertices and (nt, 4) tets, got "
-                             f"{self.vertices.shape} and {self.tets.shape}")
-        if self.tets.size and (self.tets.min() < 0
-                               or self.tets.max() >= len(self.vertices)):
+                             f"{self.vertices.shape} and {tets.shape}")
+        # the caller's ids, before the cast could wrap one into range
+        if tets.size and (tets.min() < 0 or tets.max() >= len(self.vertices)):
             raise ValueError(f"vertex ids outside 0 .. {len(self.vertices) - 1}")
+        self.tets = np.ascontiguousarray(tets, dtype=_index_type(len(self.vertices)))
         self.vertices.setflags(write=False)
         self.tets.setflags(write=False)
 
@@ -106,6 +108,13 @@ class Mesh:
         """Vertex coordinates of one tet (4, 3) or of the tets ``index`` (nb,
         4, 3), all by default: a view of planes (3, 4, nb), tet index innermost."""
         return gather(self.vertices, self.tets[index])
+
+    def face_vertices(self, index=slice(None)):
+        """Sorted vertex triples of the faces ``index``, (nf, 3) at the tets'
+        type, all faces by default: the vertices of each face's first-side
+        tet but the one its local face is opposite."""
+        t, i = np.divmod(self.faces.sides[index, 0], 4)
+        return np.sort(self.tets[t[..., None], LOCAL_FACES[i]], axis=-1)
 
 
 def generate_aniso_cube(M, N):
@@ -132,8 +141,9 @@ def generate_aniso_cube(M, N):
 
     # boxes k-major, i fastest, named by their lowest vertex id, whose parity is
     # the box's i + j + k as mp is odd; and the id offsets of corners b
-    base = np.arange(len(vertices)).reshape(N + 1, mp, mp)[:N, :M, :M].ravel()
-    corner = (np.array([0, 1, mp, mp + 1]) + [[0], [mp * mp]]).ravel()
+    ids = np.arange(len(vertices), dtype=_index_type(len(vertices)))  # as Mesh stores
+    base = ids.reshape(N + 1, mp, mp)[:N, :M, :M].ravel()
+    corner = (np.array([0, 1, mp, mp + 1]) + [[0], [mp * mp]]).ravel().astype(ids.dtype)
     tets = np.where((base & 1).astype(bool)[:, None, None],
                     corner[_SPLIT_ODD], corner[_SPLIT_EVEN])
     tets += base[:, None, None]
@@ -176,7 +186,7 @@ def build_face_table(mesh):
     corners = ranked[start]
     del order, ranked, first  # the slot arrays, off the column sort's peak
     columns, by_column = _face_columns(mesh.vertices, corners, ~interior)
-    sides, interior, corners = sides[by_column], interior[by_column], corners[by_column]
+    sides, interior = sides[by_column], interior[by_column]
     tet_faces = np.empty(4 * nt, dtype=itype)  # each slot is one face's side
     tet_faces[sides[:, 0]] = np.arange(len(start), dtype=itype)
     tet_faces[sides[interior, 1]] = np.flatnonzero(interior)
@@ -184,7 +194,6 @@ def build_face_table(mesh):
     signs = np.full(4 * nt, -1, dtype=np.int8)
     signs[sides[:, 0]] = 1
     table = FaceTable(
-        vertices=corners.astype(_index_type(mesh.n_vertices)),  # signed ids
         sides=sides,
         boundary=~interior,
         tet_faces=tet_faces.reshape(nt, 4),
@@ -277,7 +286,7 @@ def validate_conformity(mesh):
     histogram = {1: int(faces.boundary.sum()), 2: int((~faces.boundary).sum())}
     # a face lies on the cube boundary iff all three vertices share one
     # coordinate plane x_a = 0 or x_a = 1
-    on_plane = np.isclose(mesh.vertices[faces.vertices[faces.boundary]][..., None],
+    on_plane = np.isclose(mesh.vertices[mesh.face_vertices(faces.boundary)][..., None],
                           [0.0, 1.0], atol=1e-12)
     stray = int((~on_plane.all(axis=1).any(axis=(1, 2))).sum())
     if stray:

@@ -76,11 +76,12 @@ class Field:
     solve_info: dict = field(default_factory=dict)
 
     def element_coeffs(self, tets=slice(None)):
-        """Per-element DOF values, (nt, 4), with the tet index innermost."""
+        """Per-element DOF values of the tets ``tets``, a C-ordered (nb, 4)
+        array."""
         if self.space not in ("p1", "cr"):
             raise ValueError(f"no scalar element coefficients for space {self.space!r}")
         dofs = self.mesh.tets if self.space == "p1" else self.mesh.faces.tet_faces
-        return self.coeffs[dofs[tets].T].T
+        return self.coeffs[dofs[tets]]
 
     def element_gradients(self, tets=slice(None), verts=None):
         """Constant per-element gradients, (nt, 3).  ``verts``, the vertices
@@ -216,7 +217,7 @@ def assemble_p1(mesh, f):
     come from a stable argsort of the tets' ranks (``_assemble``).
     """
     constrained = np.zeros(mesh.n_vertices, dtype=bool)
-    constrained[np.unique(mesh.faces.vertices[mesh.faces.boundary])] = True
+    constrained[np.unique(mesh.face_vertices(mesh.faces.boundary))] = True
     rank = np.argsort(np.argsort(constrained, kind="stable"))  # free ones first
     dofs = rank.astype(np.min_scalar_type(mesh.n_vertices - 1))[mesh.tets]
     matrix, rhs = _assemble(dofs, np.argsort(dofs.ravel(), kind="stable"),
@@ -306,34 +307,38 @@ def _pcg(matrix, rhs, precondition, rtol):
     """Preconditioned CG (Saad, Iterative Methods for Sparse Linear Systems,
     2003, alg. 9.1) from x = 0 until the recurrence residual is under rtol |b|
     or for scipy's default 10 n iterations: scipy 1.17's ``cg`` operation for
-    operation, so the iterates keep its bits.  Returns x and the count; x = 0
-    at once for a zero, NaN or inf load."""
+    operation, so the iterates keep its bits.  ``precondition(r, z)`` writes
+    M r into z.  The loop holds x, r, p, z and the matvec's q, no more: z
+    also takes alpha p and alpha q.  Returns x and the count; x = 0 at once
+    for a zero, NaN or inf load."""
     x, scale = np.zeros_like(rhs), np.linalg.norm(rhs)
     if not 0.0 < scale < np.inf:
         return x, 0
     atol, r = rtol * scale, rhs.copy()
+    p, z = np.empty_like(rhs), np.empty_like(rhs)
     for iteration in range(10 * len(rhs)):
         if np.linalg.norm(r) < atol:
             return x, iteration
-        z = precondition(r)
+        precondition(r, z)
         rho = np.dot(r, z)
         if iteration > 0:
             p *= rho / rho_prev
             p += z
         else:
-            p = z.copy()
+            p[:] = z
         q = matrix @ p
         alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=z)
+        r -= np.multiply(alpha, q, out=z)
+        del q  # off the next matvec's peak
         rho_prev = rho
     return x, 10 * len(rhs)
 
 
 def _column_band(matrix, columns):
     """Cholesky factor of the couplings of ``matrix`` inside each column, the
-    dropped couplings given back to the diagonal, as an apply r -> z for CG
-    and the band's half-width.
+    dropped couplings given back to the diagonal, as an apply for CG that
+    solves r into z in place and returns z, and the band's half-width.
 
     ``columns`` labels the column of each row, a contiguous range of rows,
     so the kept part B is a block-diagonal band, SPD, stored in the upper
@@ -377,7 +382,13 @@ def _column_band(matrix, columns):
     compensation = per_block(n, fill)
     band[-1] += compensation / w  # the diagonal
     factor = cholesky_banded(band, overwrite_ab=True, check_finite=False)
-    return lambda r: dpbtrs(factor, r)[0], len(band) - 1
+
+    def apply(r, z):  # z (F-contiguous, float64) is LAPACK's b, solved in place
+        z[...] = r
+        dpbtrs(factor, z, overwrite_b=True)
+        return z
+
+    return apply, len(band) - 1
 
 
 def solve_spd(system, tol=1e-10):
@@ -407,7 +418,7 @@ def solve_spd(system, tol=1e-10):
     else:
         name, width = "jacobi", 0
         inv = 1.0 / system.matrix.diagonal()
-        precondition = lambda r: inv * r
+        precondition = lambda r, z: np.multiply(inv, r, out=z)
     x, iterations = _pcg(system.matrix, system.rhs, precondition, tol / 4.0)
     info = _checked(system, x, tol, iterations)
     info.update(preconditioner=name, bandwidth=width, unknowns=n)

@@ -28,7 +28,7 @@ def brute_force_faces(tets):
 
 def centroid(mesh, d):
     """Coordinate d of each face centroid, as the face table computes it."""
-    p = mesh.vertices[:, d][mesh.faces.vertices]
+    p = mesh.vertices[:, d][mesh.face_vertices()]
     return p[:, 0] + ((p[:, 1] - p[:, 0]) + (p[:, 2] - p[:, 0])) / 3.0
 
 
@@ -37,11 +37,12 @@ def assert_column_order(mesh, counter):
     part in column order: columns nondecreasing, centroid z nondecreasing
     within a column, and ties in sorted-triple order."""
     table = mesh.faces
-    assert sorted(map(tuple, table.vertices)) == sorted(counter)
+    assert sorted(map(tuple, mesh.face_vertices())) == sorted(counter)
     assert (np.diff(table.boundary.astype(np.int64)) >= 0).all()
     for part in (~table.boundary, table.boundary):
         assert (np.diff(table.columns[part].astype(np.int64)) >= 0).all()
-    keys = (*table.vertices.T[::-1], centroid(mesh, 2), table.columns, table.boundary)
+    keys = (*mesh.face_vertices().T[::-1], centroid(mesh, 2), table.columns,
+            table.boundary)
     assert np.array_equal(np.lexsort(keys), np.arange(table.n_faces))
 
 
@@ -67,16 +68,16 @@ def test_boundary_face_counts(m, n, boundary):
 def test_face_table_against_brute_force_enumeration():
     # the slot keys use the narrowest unsigned type of the vertex ids: pad
     # puts that many unused vertices first, so that at 60,000 the keys are
-    # uint16 and at 70,000 uint32; the table holds the triples as signed int32
+    # uint16 and at 70,000 uint32; the triples come back as signed int32
     base = af.generate_aniso_cube(2, 2)
     for pad in (0, 60_000, 70_000):
         mesh = Mesh(np.vstack([np.zeros((pad, 3)), base.vertices]), base.tets + pad)
         counter = brute_force_faces(mesh.tets)
         table = mesh.faces
-        assert table.vertices.dtype == np.int32
+        assert mesh.face_vertices().dtype == np.int32
         assert table.n_faces == len(counter)
         assert_column_order(mesh, counter)
-        for tri, row, bnd in zip(table.vertices, table.sides // 4, table.boundary):
+        for tri, row, bnd in zip(mesh.face_vertices(), table.sides // 4, table.boundary):
             assert counter[tuple(tri)] == (1 if bnd else 2)
             assert (row >= 0).sum() == counter[tuple(tri)]
 
@@ -103,12 +104,13 @@ def test_face_table_properties_under_relabelling(m, n, seed, b):
         return tuple(sorted(np.delete(mesh.tets[t], i)))
 
     assert_column_order(mesh, counter)
-    for f, (tri, (s0, s1)) in enumerate(zip(map(tuple, table.vertices), table.sides)):
+    triples = list(map(tuple, mesh.face_vertices()))
+    for f, (tri, (s0, s1)) in enumerate(zip(triples, table.sides)):
         assert table.boundary[f] == (counter[tri] == 1) == (s1 == -1)
         assert triple(s0) == tri
         assert s1 == -1 or (s0 < s1 and triple(s1) == tri)
     for slot, f in enumerate(table.tet_faces.ravel()):
-        assert triple(slot) == tuple(table.vertices[f])
+        assert triple(slot) == triples[f]
     first = np.zeros(4 * mesh.n_tets, dtype=bool)
     first[table.sides[:, 0]] = True
     assert np.array_equal(table.tet_face_signs.ravel() == 1.0, first)
@@ -194,7 +196,7 @@ def reference_cube(m, n):
                   for b in range(8)]
         split = UNORIENTED_ODD if (i + j + k) % 2 else UNORIENTED_EVEN
         tets += [[corner[c] for c in row] for row in split]
-    tets = np.array(tets, dtype=np.int64)
+    tets = np.array(tets, dtype=np.int32)  # Mesh's id type below 2^31 vertices
     flip = signed_volumes(vertices[tets]) < 0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
     return vertices, tets
@@ -231,8 +233,9 @@ def test_single_tet_face_table():
 
 
 def test_face_table_storage():
-    # each field at the narrowest type its values need: the live table is
-    # 66 bytes a tet at 8:64, 152 with int64 indices and float64 signs
+    # each field at the narrowest type its values need, and no vertex
+    # triples: the live table is 41 bytes a tet at 8:64, 66 with the triples
+    # stored at int32, 152 with those at int64 and float64 signs
     mesh = af.generate_aniso_cube(8, 64)
     tracemalloc.start()
     try:
@@ -241,9 +244,9 @@ def test_face_table_storage():
     finally:
         tracemalloc.stop()
     assert table.sides.dtype == table.tet_faces.dtype == np.int32
-    assert table.vertices.dtype == np.int32
+    assert mesh.face_vertices().dtype == mesh.tets.dtype == np.int32
     assert table.tet_face_signs.dtype == np.int8
-    assert live / mesh.n_tets <= 70
+    assert live / mesh.n_tets <= 43
     # ids from 2^31 on fall back to int64
     assert _index_type(2**31 - 1) is np.int32 and _index_type(2**31) is np.int64
 
@@ -263,7 +266,7 @@ def test_interior_normals_oppose():
         n0, n1 = oriented[t0, i0], oriented[t1, i1]
         assert np.abs(n0 - n1).max() < 1e-12
         # outward from t0, inward to t1
-        point = mesh.vertices[table.vertices[f][0]]
+        point = mesh.vertices[mesh.face_vertices(f)[0]]
         assert np.dot(n0, centroids[t0] - point) < 0
         assert np.dot(n0, centroids[t1] - point) > 0
 
@@ -279,7 +282,7 @@ def test_face_traces_against_direct_evaluation():
 
     # each face's corners, centroid and a unit normal pointing out of its
     # first-side tet, taken from the face triple alone
-    p = mesh.vertices[faces.vertices]
+    p = mesh.vertices[mesh.face_vertices()]
     centroid = p.mean(axis=1)
     n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     n /= np.linalg.norm(n, axis=1)[:, None]
@@ -303,7 +306,7 @@ def test_deterministic_rebuild():
     b = af.generate_aniso_cube(4, 8)
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.tets, b.tets)
-    assert np.array_equal(a.faces.vertices, b.faces.vertices)
+    assert np.array_equal(a.face_vertices(), b.face_vertices())
     assert np.array_equal(a.faces.columns, b.faces.columns)
     assert_column_order(a, brute_force_faces(a.tets))
 
@@ -317,13 +320,13 @@ def test_face_columns_partition_the_faces():
     # each part the columns are contiguous runs of faces, each bottom to top
     assert table.columns.shape == (nf,)
     assert not table.boundary[:interior].any() and table.boundary[interior:].all()
-    z = mesh.vertices[table.vertices, 2].mean(axis=1)
+    z = mesh.vertices[mesh.face_vertices(), 2].mean(axis=1)
     for part in (slice(None, interior), slice(interior, None)):
         columns = table.columns[part].astype(int)
         assert (np.diff(columns) >= 0).all()
         assert (np.diff(z[part])[np.diff(columns) == 0] >= -1e-15).all()
     # the faces strictly inside box column (i, j) make up one column each
-    xy = mesh.vertices[table.vertices, :2].mean(axis=1) * m
+    xy = mesh.vertices[mesh.face_vertices(), :2].mean(axis=1) * m
     inside = (np.abs(xy - np.round(xy)) > 1e-9).all(axis=1)
     box = np.floor(xy[inside]).astype(int) @ [m, 1]
     pairs = np.unique(np.stack([box, table.columns[inside]]), axis=1)
@@ -346,7 +349,7 @@ def test_face_column_order_is_the_lexsort():
              + np.searchsorted(ys, centroid(mesh, 1), side="right"))
     assert table.columns.dtype == np.min_scalar_type(label.max())
     assert np.array_equal(table.columns, label)
-    keys = (*table.vertices.T[::-1], centroid(mesh, 2), label, table.boundary)
+    keys = (*mesh.face_vertices().T[::-1], centroid(mesh, 2), label, table.boundary)
     assert np.array_equal(np.lexsort(keys), np.arange(table.n_faces))
     assert table.boundary[-1] and not table.boundary[0]
 
@@ -386,7 +389,9 @@ def test_mesh_rejects_malformed_input():
     for vertices, tets in [(np.zeros((4, 2)), [[0, 1, 2, 3]]),  # not (nv, 3)
                            (corner, [[0, 1, 2]]),                # not (nt, 4)
                            (corner, [[0, 1, 2, 259]]),  # read as vertex 3 at uint8
-                           (corner, [[-1, 1, 2, 3]])]:
+                           (corner, [[0, 1, 2, 2**32 + 3]]),  # wraps to 3 at int32
+                           (corner, [[-1, 1, 2, 3]]),
+                           (corner, [[0, 1, 2, -1]])]:
         with pytest.raises(ValueError):
             Mesh(vertices, tets)
     # the empty mesh stays valid; the face table still refuses it

@@ -280,19 +280,24 @@ def test_solve_spd_small_systems():
     assert field.solve_info["iterations"] < 5000
 
 
+def system_and_preconditioner(assemble, m, n):
+    """A P1 or CR system of the m:n mesh and solve_spd's apply r, z -> z."""
+    system = assemble(af.generate_aniso_cube(m, n), CASE.f)
+    if system.kind == "cr":
+        columns = system.mesh.faces.columns[:system.matrix.shape[0]]
+        return system, af.system._column_band(system.matrix, columns)[0]
+    inv = 1.0 / system.matrix.diagonal()
+    return system, lambda r, z: np.multiply(inv, r, out=z)
+
+
 @pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
 def test_cg_loop_matches_scipy(assemble):
     # the package's loop runs scipy 1.17's cg operation for operation: with
     # the same preconditioner, on the system's own numbering, both give the
     # same iterates bit for bit, and the same iteration count
-    system = assemble(af.generate_aniso_cube(4, 8), CASE.f)
-    if system.kind == "cr":
-        columns = system.mesh.faces.columns[:system.matrix.shape[0]]
-        apply, _ = af.system._column_band(system.matrix, columns)
-        precond = spla.LinearOperator(system.matrix.shape, matvec=apply, dtype=float)
-    else:
-        inv = 1.0 / system.matrix.diagonal()
-        apply, precond = (lambda r: inv * r), sp.diags(inv)
+    system, apply = system_and_preconditioner(assemble, 4, 8)
+    precond = spla.LinearOperator(system.matrix.shape, dtype=float,
+                                  matvec=lambda r: apply(r, np.empty_like(r)))
     rtol = 1e-10 / 4.0
     x, iterations = af.system._pcg(system.matrix, system.rhs, apply, rtol)
     steps = []
@@ -300,6 +305,62 @@ def test_cg_loop_matches_scipy(assemble):
                               M=precond, callback=steps.append)
     assert info == 0 and iterations == len(steps) > 0
     assert x.tobytes() == reference.tobytes()
+
+
+def allocating_pcg(matrix, rhs, precondition, rtol):
+    """``system._pcg`` as it was before its fixed buffers: a new z from each
+    apply r -> z, a new p on the first step, and temporaries for alpha p and
+    alpha q."""
+    x, scale = np.zeros_like(rhs), np.linalg.norm(rhs)
+    if not 0.0 < scale < np.inf:
+        return x, 0
+    atol, r = rtol * scale, rhs.copy()
+    for iteration in range(10 * len(rhs)):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        z = precondition(r)
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matrix @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, 10 * len(rhs)
+
+
+@pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
+def test_buffered_cg_matches_the_allocating_loop(assemble):
+    # the same operations in the same order, only into fixed buffers: the
+    # same iteration count and the same solution bits (both loops run in one
+    # process, so under one BLAS thread count)
+    system, apply = system_and_preconditioner(assemble, 4, 16)
+    rtol = 1e-10 / 4.0
+    x, iterations = af.system._pcg(system.matrix, system.rhs, apply, rtol)
+    reference, steps = allocating_pcg(system.matrix, system.rhs,
+                                      lambda r: apply(r, np.empty_like(r)), rtol)
+    assert iterations == steps > 0
+    assert np.array_equal(x, reference)
+
+
+def test_cg_holds_five_vectors():
+    # x, r, p, z and the matvec's q: the allocating loop peaks at 6.0
+    # vectors of the unknowns here
+    system, apply = system_and_preconditioner(af.assemble_cr, 8, 64)
+    n = system.matrix.shape[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        af.system._pcg(system.matrix, system.rhs, apply, 1e-10 / 4.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n) <= 5.2
 
 
 def test_solve_spd_refuses_cr_system_not_sized_to_its_mesh():
@@ -374,7 +435,7 @@ def test_compensated_column_band_dominates_the_matrix(mesh):
     n = system.matrix.shape[0]
     columns = mesh.faces.columns[:n]  # the unknowns' columns
     apply, _ = af.system._column_band(system.matrix, columns)
-    precond = apply(np.eye(n))
+    precond = apply(np.eye(n), np.empty((n, n), order="F"))
     # M = L L^T, and L^T A L has the eigenvalues of M A
     lower = np.linalg.cholesky((precond + precond.T) / 2.0)
     dense = system.matrix.toarray()
@@ -409,7 +470,8 @@ def test_column_band_width_is_the_farthest_coupling_in_a_column(mesh, monkeypatc
     monkeypatch.setattr(geometry, "BLOCK", 7)
     small, small_width = af.system._column_band(system.matrix, columns)
     r = np.random.default_rng(8).standard_normal(n)
-    assert small_width == width and small(r).tobytes() == apply(r).tobytes()
+    assert small_width == width
+    assert small(r, np.empty(n)).tobytes() == apply(r, np.empty(n)).tobytes()
 
 
 def test_cr_column_preconditioner_off_the_grid():
