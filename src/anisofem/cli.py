@@ -32,8 +32,8 @@ DEFAULT_DEMO_N = [128, 256, 512, 1024, 2048, 4096]
 
 CONVERGE_HEADER = "M,N,h,H_nominal,H_computed,dofs,err_h1,r_h1,err_l2,r_l2"
 
-# Peak resident memory of a converge row per tet, the slope of the peak RSS
-# between N = 128 and N = 256 at M = 16 (N = 64 and 128 for rt), rounded up
+# A row's peak RSS per tet, priced with no intercept, so above the 403, 444
+# and 453-464 B a tet (p1, cr, rt) that the gamma=1.5 32:182 rows peak at
 ROW_BYTES_PER_TET = {"p1": 600, "cr": 700, "rt": 700}
 MEMINFO = "/proc/meminfo"
 

@@ -62,19 +62,18 @@ def bubble_identities(vertices):
                 lambda p: (bubble_grad(vertices, p) ** 2).sum(axis=-1))))
 
 
-def enriched_cr_solve(mesh, f, tol=1e-10, bubble_stiffness=72.0):
+def enriched_cr_solve(mesh, f, tol=1e-10):
     """Solve the CR problem enriched by one bubble per tet, with projected data.
 
     f is sampled once per tet, for its cell means f_T.  The CR block and the bubble
     block are orthogonal in the broken H1 product, so the CR part solves the
     plain system with cell-mean data and each bubble coefficient is
-    gamma_T = f_T / 72, the bubble's load over its stiffness.
-    ``bubble_stiffness`` replaces the 72 and exists as a fault-injection hook
-    for the verification suite.  Returns (cr field, gamma array).
+    gamma_T = f_T / 72, the bubble's load (2L/5) f_T over its stiffness
+    144L/5.  Returns (cr field, gamma), gamma of shape (nt,).
     """
     fbar = p0_project(mesh.tet_vertices(), f)
     cr = solve_spd(assemble_cr(mesh, fbar), tol=tol)
-    return cr, fbar / bubble_stiffness
+    return cr, fbar / 72.0
 
 
 def marini_reconstruct(mesh, cr_field, gamma):

@@ -71,7 +71,7 @@ class FaceTable:
 
 
 class Mesh:
-    """Immutable tetrahedral mesh: vertex coordinates plus vertex 4-tuples.
+    """Immutable tetrahedral mesh: copies of the vertices and vertex 4-tuples.
 
     Tets are stored positively oriented (signed volume > 0), as int32, or
     int64 once the vertex count reaches 2^31.  The face table is built on
@@ -80,7 +80,7 @@ class Mesh:
     """
 
     def __init__(self, vertices, tets):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
+        self.vertices = np.array(vertices, dtype=float, order="C")
         tets = np.asarray(tets)
         if self.vertices.shape[1:] != (3,) or tets.shape[1:] != (4,):
             raise ValueError(f"need (nv, 3) vertices and (nt, 4) tets, got "
@@ -88,7 +88,7 @@ class Mesh:
         # the caller's ids, before the cast could wrap one into range
         if tets.size and (tets.min() < 0 or tets.max() >= len(self.vertices)):
             raise ValueError(f"vertex ids outside 0 .. {len(self.vertices) - 1}")
-        self.tets = np.ascontiguousarray(tets, dtype=_index_type(len(self.vertices)))
+        self.tets = np.array(tets, dtype=_index_type(len(self.vertices)), order="C")
         self.vertices.setflags(write=False)
         self.tets.setflags(write=False)
 

@@ -21,9 +21,10 @@ class QuadratureRule:
     weights: np.ndarray  # (n,) summing to 1
     degree: int          # every polynomial up to this total degree is exact
 
-    def __post_init__(self):
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
+    def __post_init__(self):  # frozen copies: the caller's arrays stay writeable
+        for name in ("points", "weights"):
+            object.__setattr__(self, name, np.array(getattr(self, name)))
+            getattr(self, name).setflags(write=False)
 
 
 def _orbit(coords):

@@ -90,8 +90,6 @@ class Field:
                               else verts)
         if self.space == "cr":
             grads = cr_gradients(grads)
-        elif self.space != "p1":
-            raise ValueError(f"no constant gradients for space {self.space!r}")
         return np.einsum("ti,tid->td", self.element_coeffs(tets), grads)
 
     def element_values(self, bary, tets=slice(None)):
@@ -217,7 +215,7 @@ def assemble_p1(mesh, f):
     come from a stable argsort of the tets' ranks (``_assemble``).
     """
     constrained = np.zeros(mesh.n_vertices, dtype=bool)
-    constrained[np.unique(mesh.face_vertices(mesh.faces.boundary))] = True
+    constrained[mesh.face_vertices(mesh.faces.boundary)] = True
     rank = np.argsort(np.argsort(constrained, kind="stable"))  # free ones first
     dofs = rank.astype(np.min_scalar_type(mesh.n_vertices - 1))[mesh.tets]
     matrix, rhs = _assemble(dofs, np.argsort(dofs.ravel(), kind="stable"),
@@ -283,7 +281,7 @@ def assemble_rt0_mixed(mesh, f):
         (signed_areas.ravel(),
          (np.repeat(np.arange(nt), 4), faces.tet_faces.ravel())),
         shape=(nt, nf),
-    ).tocsr()
+    )
 
     f_int = integrate(tet_rule_degree5(), mesh.tet_vertices(), f)
     matrix = sp.bmat([[a_block, b_block.T], [b_block, None]], format="csr")
@@ -306,26 +304,23 @@ def _checked(system, x, tol, iterations):
 def _pcg(matrix, rhs, precondition, rtol):
     """Preconditioned CG (Saad, Iterative Methods for Sparse Linear Systems,
     2003, alg. 9.1) from x = 0 until the recurrence residual is under rtol |b|
-    or for scipy's default 10 n iterations: scipy 1.17's ``cg`` operation for
-    operation, so the iterates keep its bits.  ``precondition(r, z)`` writes
-    M r into z.  The loop holds x, r, p, z and the matvec's q, no more: z
-    also takes alpha p and alpha q.  Returns x and the count; x = 0 at once
-    for a zero, NaN or inf load."""
+    or for scipy's default 10 n iterations.  The iterates keep the bits of
+    scipy 1.17's ``cg``: p = 0 and rho_prev = inf make the first pass give
+    p = 0 p + z = z.  ``precondition(r, z)`` writes M r into z.  The loop
+    holds x, r, p, z and the matvec's q, no more: z also takes alpha p and
+    alpha q.  Returns (x, count), x = 0 at once for a zero, NaN or inf load."""
     x, scale = np.zeros_like(rhs), np.linalg.norm(rhs)
     if not 0.0 < scale < np.inf:
         return x, 0
     atol, r = rtol * scale, rhs.copy()
-    p, z = np.empty_like(rhs), np.empty_like(rhs)
+    p, z, rho_prev = np.zeros_like(rhs), np.empty_like(rhs), np.inf
     for iteration in range(10 * len(rhs)):
         if np.linalg.norm(r) < atol:
             return x, iteration
         precondition(r, z)
         rho = np.dot(r, z)
-        if iteration > 0:
-            p *= rho / rho_prev
-            p += z
-        else:
-            p[:] = z
+        p *= rho / rho_prev  # 0 on the first pass
+        p += z
         q = matrix @ p
         alpha = rho / np.dot(p, q)
         x += np.multiply(alpha, p, out=z)

@@ -39,7 +39,7 @@ def identity_checks(flip_rt_signs=False, bubble_stiffness=72.0):
                            random_tets(20)])
     spread = equivalence.bubble_spread(tets)
     face_means = elements.cr_interpolate(tets, lambda x, y, z: equivalence.bubble_eval(
-        tets, np.stack([x, y, z], axis=-1).reshape(len(tets), -1, 3)).reshape(x.shape))
+        tets[:, None], np.stack([x, y, z], axis=-1)))
     mean, grad_sq = equivalence.bubble_identities(tets)
     for name, dev in [
             ("bubble_face_means", np.abs(face_means).max(axis=1) / spread),
@@ -70,8 +70,8 @@ def equivalence_checks(flip_rt_signs, bubble_stiffness):
     devs = []
     for m, n in [(2, 2), (4, 8)]:
         msh = meshgen.generate_aniso_cube(m, n)
-        cr, gamma = equivalence.enriched_cr_solve(
-            msh, case.f, tol=1e-12, bubble_stiffness=bubble_stiffness)
+        cr, gamma = equivalence.enriched_cr_solve(msh, case.f, tol=1e-12)
+        gamma = gamma * (72.0 / bubble_stiffness)  # 1 unless a fault is planted
         rt, jump = equivalence.marini_reconstruct(msh, cr, gamma)
         mixed = system.assemble_rt0_mixed(msh, case.f)
         direct = system.solve_saddle(mixed, tol=1e-12)

@@ -218,6 +218,12 @@ def test_poincare_ratio_rejects_zero_field():
                                                   np.zeros(mesh.faces.n_faces)))
 
 
+def test_poincare_ratio_rejects_a_p1_field():
+    mesh = af.generate_aniso_cube(2, 2)
+    with pytest.raises(ValueError, match="CR field"):
+        af.discrete_poincare_ratio(mesh, af.Field("p1", mesh, np.ones(mesh.n_vertices)))
+
+
 def test_sliver_rows_reproduce_reference_table():
     errs = []
     for n, h, aniso, err in SLIVER_TABLE:

@@ -41,6 +41,12 @@ def test_select_pairs_defaults():
         select_pairs(1.5, pairs_text="")
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_fmt_refuses_a_non_finite_value(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._fmt(value)
+
+
 def test_converge_cr_small(capsys):
     code, out, _ = run(capsys, ["converge", "--element", "cr",
                                 "--pairs", "2:2,4:4"])

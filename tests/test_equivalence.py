@@ -158,15 +158,21 @@ def test_marini_equivalence_with_direct_solve(m, n):
 
 def test_wrong_bubble_constant_breaks_equivalence():
     mesh = af.generate_aniso_cube(2, 2)
-    cr, gamma = af.enriched_cr_solve(mesh, CASE.f, tol=1e-12,
-                                     bubble_stiffness=70.0)
-    rt_bad, _ = af.marini_reconstruct(mesh, cr, gamma)
+    cr, gamma = af.enriched_cr_solve(mesh, CASE.f, tol=1e-12)
+    rt_bad, _ = af.marini_reconstruct(mesh, cr, gamma * (72.0 / 70.0))
     direct = af.solve_saddle(af.assemble_rt0_mixed(mesh, CASE.f), tol=1e-12)
     mass = af.rt0_mass_matrix(mesh)
     dsig = rt_bad.coeffs - direct.coeffs
     rel = math.sqrt((dsig @ mass @ dsig)
                     / (direct.coeffs @ mass @ direct.coeffs))
     assert rel > 1e-4
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 8)])
+def test_bubble_coefficients_are_the_cell_means_over_72(m, n):
+    mesh = af.generate_aniso_cube(m, n)
+    _, gamma = af.enriched_cr_solve(mesh, CASE.f)
+    assert np.array_equal(gamma, af.p0_project(mesh.tet_vertices(), CASE.f) / 72.0)
 
 
 def test_nan_bubble_stiffness_fails_reconstruction_rows():

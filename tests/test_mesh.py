@@ -406,6 +406,21 @@ def test_nonmanifold_raises():
     tets = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
     with pytest.raises(ValueError, match="non-manifold"):
         af.build_face_table(Mesh(verts, tets))
+    # the diagnostic pass reports the same fault and does not raise
+    report = af.validate_conformity(Mesh(verts, tets))
+    assert not report.ok
+    assert any("non-manifold" in msg for msg in report.messages)
+
+
+def test_mesh_copies_its_inputs():
+    # no cast is needed for either array, yet the mesh keeps its own
+    vertices, tets = np.eye(4, 3), np.array([[0, 1, 2, 3]], dtype=np.int32)
+    mesh = Mesh(vertices, tets)
+    assert vertices.flags.writeable and tets.flags.writeable
+    vertices[0, 0], tets[0, 0] = 5.0, 3
+    assert np.array_equal(mesh.vertices, np.eye(4, 3))
+    assert np.array_equal(mesh.tets, [[0, 1, 2, 3]])
+    assert not (mesh.vertices.flags.writeable or mesh.tets.flags.writeable)
 
 
 def test_vtk_export(tmp_path):

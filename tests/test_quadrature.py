@@ -183,3 +183,12 @@ def test_vector_integrand():
     got = af.integrate(rule, REF_TET,
                        lambda x, y, z: np.stack([x, y, np.ones_like(z)], axis=-1))
     assert np.allclose(got, [1 / 24, 1 / 24, 1 / 6], atol=1e-15)
+
+
+def test_rule_copies_its_inputs():
+    points, weights = np.full((1, 4), 0.25), np.ones(1)
+    rule = af.QuadratureRule(points, weights, 1)
+    assert points.flags.writeable and weights.flags.writeable
+    points[0, 0], weights[0] = 1.0, 2.0
+    assert rule.points[0, 0] == 0.25 and rule.weights[0] == 1.0
+    assert not (rule.points.flags.writeable or rule.weights.flags.writeable)

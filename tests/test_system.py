@@ -292,9 +292,10 @@ def system_and_preconditioner(assemble, m, n):
 
 @pytest.mark.parametrize("assemble", [af.assemble_p1, af.assemble_cr])
 def test_cg_loop_matches_scipy(assemble):
-    # the package's loop runs scipy 1.17's cg operation for operation: with
-    # the same preconditioner, on the system's own numbering, both give the
-    # same iterates bit for bit, and the same iteration count
+    # the package's loop keeps the bits of scipy 1.17's cg, its first pass
+    # giving p = 0 p + z = z: with the same preconditioner, on the system's
+    # own numbering, both give the same iterates bit for bit, and the same
+    # iteration count
     system, apply = system_and_preconditioner(assemble, 4, 8)
     precond = spla.LinearOperator(system.matrix.shape, dtype=float,
                                   matvec=lambda r: apply(r, np.empty_like(r)))
@@ -377,6 +378,34 @@ def test_solve_spd_refuses_cr_system_not_sized_to_its_mesh():
         with pytest.raises(ValueError, match=rf"size {n} on a mesh with 104 faces$"):
             af.solve_spd(identity(n))
     assert np.array_equal(af.solve_spd(identity(104)).coeffs, np.ones(104))
+
+
+def test_cg_stops_at_ten_n_iterations():
+    # CG on a nonsymmetric matrix with a positive definite symmetric part
+    # keeps every iterate finite but never meets rtol: the cap ends the loop
+    matrix = sp.csr_matrix(np.array([[2.0, 1.0], [-1.0, 1.0]]))
+    x, iterations = af.system._pcg(matrix, np.array([1.0, 0.0]),
+                                   lambda r, z: np.copyto(z, r), 1e-12)
+    assert iterations == 10 * 2 and np.isfinite(x).all()
+
+
+def test_solvers_refuse_the_other_kind_of_system():
+    mesh = af.generate_aniso_cube(2, 2)
+    with pytest.raises(ValueError, match="p1 or cr system"):
+        af.solve_spd(af.assemble_rt0_mixed(mesh, CASE.f))
+    with pytest.raises(ValueError, match="rt0 system"):
+        af.solve_saddle(af.assemble_cr(mesh, CASE.f))
+
+
+def test_fields_refuse_the_other_space():
+    mesh = af.generate_aniso_cube(2, 2)
+    rt = af.Field("rt0", mesh, np.zeros(mesh.faces.n_faces))
+    with pytest.raises(ValueError, match="rt0"):
+        rt.element_coeffs()
+    with pytest.raises(ValueError, match="rt0"):
+        rt.element_gradients()
+    with pytest.raises(ValueError, match="rt0"):
+        af.Field("cr", mesh, np.zeros(mesh.faces.n_faces)).flux_affine()
 
 
 def test_solve_spd_reports_nonconvergence():
