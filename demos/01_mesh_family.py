@@ -23,18 +23,10 @@ for gamma, pairs in [(1.5, [(4, 8), (8, 22), (16, 64)]),
               f"{metrics.aniso_max:>10.3e}")
     print()
 
-mesh = af.generate_aniso_cube(4, 8)
-report = af.validate_conformity(mesh)
-print("conformity:", "ok" if report.ok else report.messages)
-print("volume sum:", report.volume_sum)
-print("face incidence:", report.incidence_histogram)
-
 # the two element shapes of a box: a corner tet and the central one
+mesh = af.generate_aniso_cube(4, 8)
 corner, central = (af.tet_geometry(mesh.tet_vertices(t)) for t in (1, 0))
-print(f"\ncorner tet : volume {corner.volume:.3e}  diameter {corner.diameter:.3e}"
+print(f"corner tet : volume {corner.volume:.3e}  diameter {corner.diameter:.3e}"
       f"  aniso {corner.aniso:.3e}")
 print(f"central tet: volume {central.volume:.3e}  diameter {central.diameter:.3e}"
       f"  aniso {central.aniso:.3e}")
-
-af.write_vtk(mesh, "mesh_M4_N8.vtk")
-print("\nwrote mesh_M4_N8.vtk (legacy ASCII, cell type 10)")

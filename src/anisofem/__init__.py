@@ -14,8 +14,7 @@ from .equivalence import (bubble_eval, bubble_grad, bubble_identities,
                           bubble_spread, enriched_cr_solve, marini_reconstruct)
 from .geometry import (TetGeometry, barycentric_coords, element_volumes,
                        global_metrics, simplex_measure, tet_geometry)
-from .mesh import (FaceTable, Mesh, build_face_table, generate_aniso_cube,
-                   validate_conformity, write_vtk)
+from .mesh import FaceTable, Mesh, build_face_table, generate_aniso_cube
 from .quadrature import (QuadratureRule, integrate, tet_rule_degree2,
                          tet_rule_degree5, tri_rule_midpoint3)
 from .system import (Field, SolverError, SparseSystem, assemble_cr, assemble_p1,

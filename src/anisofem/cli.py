@@ -3,9 +3,9 @@ studies, the flat-tet interpolation demo and the identity suite.
 
 Exit codes: 0 success, 1 numerical failure (solver breakdown, an overflow,
 invalid value or ValueError raised from numerics, a non-finite value in a
-row or a failed identity), 2 configuration error or a study too large for
-the available memory, rejected before any output, or a --vtk file that
-cannot be written, which may follow rows already written.
+row or a failed identity) or output that cannot be written, 2 configuration
+error or a study too large for the available memory, always rejected before
+any output.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import analysis, geometry, system
-from .mesh import generate_aniso_cube, write_vtk
+from .mesh import generate_aniso_cube
 from .verify import identity_checks
 
 # (M, N) pairs of the published convergence studies, keyed by gamma;
@@ -110,8 +110,6 @@ def cmd_converge(args):
     pairs = select_pairs(args.gamma, args.pairs, args.large)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ConfigError(f"--tol must be finite and positive, got {args.tol!r}")
-    if args.vtk and not os.path.isdir(os.path.dirname(args.vtk) or "."):
-        raise ConfigError(f"--vtk directory of {args.vtk!r} does not exist")
     try:  # H_nominal of every row, before the header
         h_nominal = [(1.0 / m) ** (2.0 - args.gamma) for m, _ in pairs]
     except OverflowError:
@@ -124,11 +122,6 @@ def cmd_converge(args):
         prev = None
         for (m, n), h_nom in zip(pairs, h_nominal):
             mesh = generate_aniso_cube(m, n)
-            if args.vtk:
-                try:
-                    write_vtk(mesh, f"{args.vtk}.M{m}N{n}.vtk")
-                except OSError as exc:
-                    raise ConfigError(f"cannot write --vtk file: {exc}") from None
             metrics = geometry.global_metrics(mesh)
             _, dofs, err_h1, err_l2 = analysis.converge_row(
                 args.element, mesh, case, rhs=args.rhs, tol=args.tol)
@@ -209,7 +202,6 @@ def build_parser():
     conv.add_argument("--large", action="store_true",
                       help="include the M=32 rows of the default pair lists")
     conv.add_argument("--out", help="CSV output path (default stdout)")
-    conv.add_argument("--vtk", help="dump each mesh to PATH.M{M}N{N}.vtk")
     conv.set_defaults(func=cmd_converge)
 
     demo = sub.add_parser("interp-demo",
@@ -248,6 +240,12 @@ def main(argv=None):
         return 2
     except (system.SolverError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a write of the output failed
+        if not args.out:  # stdout's unwritten rest is dropped, not retried at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe ends quietly
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,5 +1,5 @@
 """Tetrahedral meshes of the unit cube with independent horizontal and vertical
-resolution, plus face connectivity and conformity checks.
+resolution, plus face connectivity.
 
 The generator tiles [0,1]^3 with M x M x N boxes of size (1/M, 1/M, 1/N) and
 splits every box into five tetrahedra: one central tet spanning a diagonal
@@ -9,13 +9,13 @@ neighbouring boxes cut their shared quadrilateral face along the same diagonal
 and the mesh is conforming.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .geometry import (LOCAL_FACES, affine_field, dot, face_geometry, gather,
-                       per_block, signed_volumes)
+                       per_block)
 
 # Box corners are indexed b = di + 2*dj + 4*dk.  Each row is one positively
 # oriented tet of the 5-tet split (central tet first) of the unit box, so of
@@ -249,63 +249,3 @@ def face_traces(mesh, a, b):
     inner = faces.sides[~faces.boundary]
     gaps = np.abs(trace[inner[:, 0]] - trace[inner[:, 1]])
     return trace[faces.sides[:, 0]], float(gaps.max(initial=0.0))
-
-
-@dataclass
-class ConformityReport:
-    ok: bool
-    volume_sum: float
-    incidence_histogram: dict
-    orientation_ok: bool
-    messages: list = field(default_factory=list)
-
-
-def validate_conformity(mesh):
-    """Diagnostic pass over mesh invariants; never raises.
-
-    Checks that signed volumes are positive, that tet volumes sum to the
-    volume 1 of the unit cube within 1e-12, and that every face is shared by
-    two tets or lies on the boundary of the cube.
-    """
-    messages = []
-    signed = signed_volumes(mesh.tet_vertices())
-    orientation_ok = bool((signed > 0).all())
-    if not orientation_ok:
-        messages.append(f"{(signed <= 0).sum()} tets with non-positive volume")
-
-    volume_sum = float(np.abs(signed).sum())
-    if abs(volume_sum - 1.0) > 1e-12:
-        messages.append(f"volume sum {volume_sum!r} differs from 1.0")
-
-    try:
-        faces = mesh.faces
-    except ValueError as exc:
-        return ConformityReport(False, volume_sum, {}, orientation_ok,
-                                messages + [str(exc)])
-
-    histogram = {1: int(faces.boundary.sum()), 2: int((~faces.boundary).sum())}
-    # a face lies on the cube boundary iff all three vertices share one
-    # coordinate plane x_a = 0 or x_a = 1
-    on_plane = np.isclose(mesh.vertices[mesh.face_vertices(faces.boundary)][..., None],
-                          [0.0, 1.0], atol=1e-12)
-    stray = int((~on_plane.all(axis=1).any(axis=(1, 2))).sum())
-    if stray:
-        messages.append(f"{stray} singly-incident faces not on the cube boundary")
-
-    return ConformityReport(not messages, volume_sum, histogram, orientation_ok,
-                            messages)
-
-
-def write_vtk(mesh, path):
-    """Dump the mesh as legacy ASCII VTK (unstructured grid, cell type 10)."""
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write("anisofem mesh\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.n_vertices} double\n")
-        np.savetxt(f, mesh.vertices, fmt="%.17g")
-        f.write(f"\nCELLS {mesh.n_tets} {5 * mesh.n_tets}\n")
-        np.savetxt(f, mesh.tets, fmt="4 %d %d %d %d")
-        f.write(f"\nCELL_TYPES {mesh.n_tets}\n")
-        f.write("\n".join(["10"] * mesh.n_tets) + "\n")

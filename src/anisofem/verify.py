@@ -78,12 +78,14 @@ def equivalence_checks(flip_rt_signs, bubble_stiffness):
         nf = len(direct.coeffs)  # the flux block is the RT0 mass matrix
         mass = mixed.matrix[:nf, :nf]
         vols = geometry.element_volumes(msh)
-        dsig = rt.coeffs - direct.coeffs
-        du = rt.cell_coeffs - direct.cell_coeffs
+        dsig, s_sig = _unit_scaled(rt.coeffs - direct.coeffs)
+        du, s_u = _unit_scaled(rt.cell_coeffs - direct.cell_coeffs)
         fbar = elements.p0_project(msh.tet_vertices(), case.f)
         devs.append([
-            math.sqrt((dsig @ mass @ dsig) / (direct.coeffs @ mass @ direct.coeffs)),
-            math.sqrt(float(vols @ du ** 2) / float(vols @ direct.cell_coeffs ** 2)),
+            s_sig * math.sqrt((dsig @ mass @ dsig)
+                              / (direct.coeffs @ mass @ direct.coeffs)),
+            s_u * math.sqrt(float(vols @ du ** 2)
+                            / float(vols @ direct.cell_coeffs ** 2)),
             float(np.abs(rt.flux_divergence() + fbar).max()),
             jump,
             _flux_jump_deviation(msh, direct, flip_rt_signs=flip_rt_signs)])
@@ -94,6 +96,15 @@ def equivalence_checks(flip_rt_signs, bubble_stiffness):
              "reconstruction_divergence", "reconstruction_normal_jumps",
              "flux_normal_jumps"], worst, [1e-7, 1e-7, 1e-11, 1e-9, 1e-9]):
         yield name, float(dev), tol
+
+
+def _unit_scaled(x):
+    """(x / s, s) for the power of two s that brings x's largest magnitude
+    into [0.5, 1), so that the squares of x / s cannot overflow.  A power of
+    two scales exactly: s times a norm of x / s has the bits of the norm of
+    x wherever that has no overflow or subnormal term."""
+    s = math.ldexp(1.0, int(np.frexp(np.abs(x).max())[1]))
+    return x / s, s
 
 
 def _exactness_deviation(rule, simplices):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import anisofem as af
+from anisofem.geometry import signed_volumes
 from anisofem.mesh import Mesh
 
 CASE = af.cube_polynomial_case()
@@ -91,3 +92,17 @@ def jittered_cube(m, n, seed=35):
     rng = np.random.default_rng(seed)
     v[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 3)) * [1 / m, 1 / m, 1 / n]
     return Mesh(v, mesh.tets)
+
+
+def assert_conforming(mesh):
+    """A conforming, positively oriented mesh of the unit cube: every signed
+    volume positive and their sum 1, each slot the side of one face, and
+    every singly-incident face on one cube plane x_d = 0 or x_d = 1."""
+    signed = signed_volumes(mesh.tet_vertices())
+    assert (signed > 0).all()
+    assert abs(signed.sum() - 1.0) <= 1e-12
+    faces = mesh.faces
+    assert 2 * (~faces.boundary).sum() + faces.boundary.sum() == 4 * mesh.n_tets
+    corners = mesh.vertices[mesh.face_vertices(faces.boundary)]  # (nb, 3, 3)
+    on_plane = np.isclose(corners[..., None], [0.0, 1.0], atol=1e-12)
+    assert on_plane.all(axis=1).any(axis=(1, 2)).all()

@@ -149,7 +149,6 @@ def test_converge_rejects_odd_m(capsys, tmp_path):
             ["--pairs", "3:3", "--out", str(existing)],
             ["--pairs", "2:2", "--gamma", "inf", "--out", str(existing)],
             ["--pairs", "2:2", "--out", str(missing / "x.csv")],
-            ["--pairs", "2:2", "--vtk", str(missing / "stem")],
             ["--pairs", ""], ["--pairs", "", "--out", str(existing)],
             ["--gamma", "1100", "--pairs", "2:2"],
             ["--pairs", f"{huge}:2"], ["--pairs", f"2:{huge}"])] + [
@@ -327,25 +326,50 @@ def test_converge_tol_under_rounding_floor_exits_1(capsys):
 
 def test_converge_out_and_vtk(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
-    vtk_stem = tmp_path / "mesh"
-    code, _, _ = run(capsys, ["converge", "--element", "p1",
-                              "--pairs", "2:2", "--out", str(out_path),
-                              "--vtk", str(vtk_stem)])
+    argv = ["converge", "--element", "p1", "--pairs", "2:2", "--out", str(out_path)]
+    code, _, _ = run(capsys, argv)
     assert code == 0
     assert out_path.read_text().startswith("M,N,")
-    assert (tmp_path / "mesh.M2N2.vtk").exists()
+    # the mesh export is gone: --vtk is refused before the --out file opens
+    out_path.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--vtk", str(tmp_path / "mesh")])
+    assert exc.value.code == 2
+    assert not out_path.exists()
 
 
-def test_converge_unwritable_vtk_exits_2(tmp_path, capsys):
-    # the mesh file's path is taken by a directory: one line, no traceback,
-    # after the header already written
-    (tmp_path / "mesh.M2N2.vtk").mkdir()
+def test_vtk_and_conformity_report_are_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--element", "cr", "--pairs", "2:2", "--vtk", "stem"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    for name in ("write_vtk", "validate_conformity", "ConformityReport"):
+        assert not hasattr(af, name), name
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_output_exits_1(capsys):
     code, out, err = run(capsys, ["converge", "--element", "cr", "--pairs", "2:2",
-                                  "--vtk", str(tmp_path / "mesh")])
-    assert code == 2
-    assert out == CONVERGE_HEADER + "\n"
-    assert err.startswith("error: cannot write --vtk file")
+                                  "--out", "/dev/full"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write output:")
     assert len(err.splitlines()) == 1
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    # the reader takes the header and closes the pipe while the rows are
+    # solved: the next write fails, with no traceback and no retry at exit
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "anisofem.cli", "converge", "--element", "cr",
+         "--pairs", "2:2,4:4,6:6,8:8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().decode() == CONVERGE_HEADER + "\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_interp_demo_default(capsys):

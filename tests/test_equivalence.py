@@ -175,12 +175,26 @@ def test_bubble_coefficients_are_the_cell_means_over_72(m, n):
     assert np.array_equal(gamma, af.p0_project(mesh.tet_vertices(), CASE.f) / 72.0)
 
 
-def test_nan_bubble_stiffness_fails_reconstruction_rows():
+def assert_reconstruction_rows_fail(bubble_stiffness):
     rows = {name: (dev, tol) for name, dev, tol
-            in equivalence_checks(False, float("nan"))}
+            in equivalence_checks(False, bubble_stiffness)}
     for name in ("marini_sigma_equivalence", "marini_u_equivalence",
                  "reconstruction_divergence", "reconstruction_normal_jumps"):
         dev, tol = rows[name]
         assert not dev <= tol, name
     dev, tol = rows["flux_normal_jumps"]  # the direct solve is untouched
     assert dev <= tol
+    return rows
+
+
+def test_nan_bubble_stiffness_fails_reconstruction_rows():
+    assert_reconstruction_rows_fail(float("nan"))
+
+
+def test_tiny_bubble_stiffness_fails_reconstruction_rows():
+    # the bubble coefficients grow by 72 / 1e-160, so the deviations near
+    # 1e161 would overflow if squared unscaled: finite FAIL rows instead,
+    # under the CLI's floating-point traps
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        rows = assert_reconstruction_rows_fail(1e-160)
+    assert all(math.isfinite(dev) for dev, _ in rows.values())

@@ -9,7 +9,7 @@ import anisofem as af
 from anisofem.geometry import signed_volumes
 from anisofem.mesh import _SPLIT_EVEN, _SPLIT_ODD, Mesh, _index_type, face_traces
 
-from conftest import CASE, jittered_cube
+from conftest import CASE, assert_conforming, jittered_cube
 
 # the 5-tet splits as first written, before their rows were oriented
 UNORIENTED_EVEN = [[0, 3, 5, 6], [1, 0, 3, 5], [2, 0, 3, 6], [4, 0, 5, 6], [7, 3, 5, 6]]
@@ -150,8 +150,7 @@ def check_volume_counts_and_orientation(m, n):
     assert mesh.n_vertices == (m + 1) ** 2 * (n + 1)
     assert mesh.n_tets == 5 * m * m * n
     assert mesh.faces.n_faces == 10 * m * m * n + 2 * m * m + 4 * m * n
-    report = af.validate_conformity(mesh)
-    assert report.ok and report.orientation_ok
+    assert_conforming(mesh)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (4, 8), (6, 5)])
@@ -167,9 +166,7 @@ def test_volume_partition_over_divisions(m, n):
 
 def test_incidence_identity():
     for m, n in [(2, 2), (4, 4), (4, 8)]:
-        mesh = af.generate_aniso_cube(m, n)
-        hist = af.validate_conformity(mesh).incidence_histogram
-        assert 2 * hist[2] + hist[1] == 4 * mesh.n_tets
+        assert_conforming(af.generate_aniso_cube(m, n))
 
 
 def test_vertex_indexing_convention():
@@ -354,36 +351,6 @@ def test_face_column_order_is_the_lexsort():
     assert table.boundary[-1] and not table.boundary[0]
 
 
-def test_validate_flags_missing_tet():
-    mesh = af.generate_aniso_cube(2, 2)
-    # drop an interior-touching tet: some face now has one incident tet but
-    # does not lie on the cube boundary
-    broken = Mesh(mesh.vertices.copy(), mesh.tets[1:].copy())
-    report = af.validate_conformity(broken)
-    assert not report.ok
-    assert any("volume" in msg or "singly-incident" in msg
-               for msg in report.messages)
-    assert any("singly-incident" in msg for msg in report.messages)
-
-
-def test_validate_needs_one_shared_cube_plane():
-    # each vertex of the lone corner tet's slanted face lies on some cube
-    # plane, but the three share none: that face alone is stray
-    mesh = Mesh(np.array([[0., 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                np.array([[0, 1, 2, 3]]))
-    report = af.validate_conformity(mesh)
-    assert "1 singly-incident faces not on the cube boundary" in report.messages
-
-
-def test_validate_flags_flipped_tet():
-    mesh = af.generate_aniso_cube(2, 2)
-    tets = mesh.tets.copy()
-    tets[0] = tets[0][[0, 1, 3, 2]]
-    report = af.validate_conformity(Mesh(mesh.vertices.copy(), tets))
-    assert not report.orientation_ok
-    assert not report.ok
-
-
 def test_mesh_rejects_malformed_input():
     corner = np.eye(4, 3)
     for vertices, tets in [(np.zeros((4, 2)), [[0, 1, 2, 3]]),  # not (nv, 3)
@@ -406,10 +373,6 @@ def test_nonmanifold_raises():
     tets = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
     with pytest.raises(ValueError, match="non-manifold"):
         af.build_face_table(Mesh(verts, tets))
-    # the diagnostic pass reports the same fault and does not raise
-    report = af.validate_conformity(Mesh(verts, tets))
-    assert not report.ok
-    assert any("non-manifold" in msg for msg in report.messages)
 
 
 def test_mesh_copies_its_inputs():
@@ -421,25 +384,3 @@ def test_mesh_copies_its_inputs():
     assert np.array_equal(mesh.vertices, np.eye(4, 3))
     assert np.array_equal(mesh.tets, [[0, 1, 2, 3]])
     assert not (mesh.vertices.flags.writeable or mesh.tets.flags.writeable)
-
-
-def test_vtk_export(tmp_path):
-    # an exact round trip: %.17g gives back every float64 coordinate, also
-    # the jittered ones, which are not short decimals
-    path = tmp_path / "mesh.vtk"
-    for mesh in (af.generate_aniso_cube(2, 2), jittered_cube(2, 4)):
-        af.write_vtk(mesh, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# vtk DataFile")
-        assert "DATASET UNSTRUCTURED_GRID" in lines
-        at = lines.index(f"POINTS {mesh.n_vertices} double") + 1
-        points = np.array([line.split() for line in lines[at:at + mesh.n_vertices]],
-                          dtype=np.float64)
-        assert np.array_equal(points, mesh.vertices)
-        at = lines.index(f"CELLS {mesh.n_tets} {5 * mesh.n_tets}") + 1
-        cells = np.array([line.split() for line in lines[at:at + mesh.n_tets]],
-                         dtype=np.int64)
-        assert (cells[:, 0] == 4).all()
-        assert np.array_equal(cells[:, 1:], mesh.tets)
-        at = lines.index(f"CELL_TYPES {mesh.n_tets}") + 1
-        assert lines[at:] == ["10"] * mesh.n_tets

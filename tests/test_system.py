@@ -14,7 +14,7 @@ from anisofem.mesh import LOCAL_FACES, Mesh
 from anisofem.quadrature import sample
 from anisofem.system import _assemble, _local_kernel
 
-from conftest import CASE, jittered_cube, singular_saddle_system
+from conftest import CASE, assert_conforming, jittered_cube, singular_saddle_system
 
 
 def two_tet_mesh():
@@ -507,7 +507,7 @@ def test_cr_column_preconditioner_off_the_grid():
     # jittered vertices give narrower bins, but the blocks are still exact
     # solves on parts of the matrix, so the contract holds
     mesh = jittered_cube(4, 16)
-    assert af.validate_conformity(mesh).ok
+    assert_conforming(mesh)
     system = af.assemble_cr(mesh, CASE.f)
     assert len(np.unique(mesh.faces.columns)) > 24  # 24 on the grid
     field = af.solve_spd(system)
