@@ -15,10 +15,8 @@ import numpy as np
 
 from .elements import cr_gradients, cr_interpolate_pointwise, p0_project
 from .equivalence import enriched_cr_solve, marini_reconstruct
-from .geometry import (affine_field, dot, element_volumes, per_block,
-                       tet_geometry, tet_gradients)
-from .quadrature import (map_points, mean, tet_rule_degree2, tet_rule_degree5,
-                         tri_rule_midpoint3)
+from .geometry import affine_field, per_block, tet_geometry, tet_gradients
+from .quadrature import map_points, mean, tet_rule_degree5, tri_rule_midpoint3
 from .system import Field, assemble_cr, assemble_p1, solve_spd
 
 _RULE5 = tet_rule_degree5()
@@ -26,16 +24,12 @@ _RULE5 = tet_rule_degree5()
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact solution u alone and with its gradient, the right-hand side
-    f = -Laplace(u), and the constant the reported errors are divided by."""
+    """Exact solution with its gradient, the right-hand side f = -Laplace(u),
+    and the constant the reported errors are divided by."""
 
-    u: callable           # (x, y, z) -> u, the bits of solution's first part
     solution: callable    # (x, y, z) -> (u, grad u), grad along a last axis of 3
     f: callable
     hess_diag_l2: float   # || (u_xx, u_yy, u_zz) ||_L2, the table normaliser
-
-    def grad_u(self, x, y, z):
-        return self.solution(x, y, z)[1]
 
 
 def _p(t):
@@ -48,9 +42,6 @@ def cube_polynomial_case():
     The benchmark tables normalise errors by the L2 norm of the vector of
     pure second derivatives (u_xx, u_yy, u_zz), which is sqrt(1/75).
     """
-    def u(x, y, z):
-        return _p(x) * _p(y) * _p(z)  # (px py) pz, as in solution
-
     def solution(x, y, z):
         px, py, pz = _p(x), _p(y), _p(z)
         pxy = px * py
@@ -63,40 +54,35 @@ def cube_polynomial_case():
     def f(x, y, z):
         px, py, pz = _p(x), _p(y), _p(z)
         return 2.0 * (py * pz + px * pz + px * py)
-    return ManufacturedCase(u, solution, f, hess_diag_l2=math.sqrt(1 / 75))
+    return ManufacturedCase(solution, f, hess_diag_l2=math.sqrt(1 / 75))
 
 
-def error_norms(mesh, field, solution, rule=None):
+def error_norms(mesh, field, solution):
     """(broken H1, L2) distance between a field and an exact solution, from
-    one pass over the elements: per block, one vertex gather, one map of the
-    rule's points, one measure check and one call ``solution(x, y, z)`` ->
-    (u, grad u).  Either part may be None, which skips its norm (None too).
+    one pass over the elements with the degree-5 rule: per block, one vertex
+    gather, one map of the rule's points, one measure check and one call
+    ``solution(x, y, z)`` -> (u, grad u).
 
     The broken H1 part is the elementwise || grad u - grad u_h ||.  For rt0
     fields the flux sigma plays the role of the discrete gradient, and the
     piecewise-constant cell part is compared in L2.
     """
-    rule = rule or _RULE5
-
     def block(s):
         v = mesh.tet_vertices(s)
-        points, vols = map_points(rule, v)
+        points, vols = map_points(_RULE5, v)
         u, grad = solution(*np.moveaxis(points, -1, 0))
-        h1 = l2 = None
-        if u is not None:
-            values = (field.cell_coeffs[s, None] if field.space == "rt0"
-                      else field.element_values(rule.points, s))
-            l2 = np.einsum("q,tq->t", rule.weights, (u - values) ** 2)
-            del u, values  # not held through the larger H1 temporaries
-        if grad is not None:
-            diff = grad - (
-                affine_field(*field.flux_affine(s, v), points) if field.space == "rt0"
-                else field.element_gradients(s, v)[:, None, :])
-            h1 = np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
+        values = (field.cell_coeffs[s, None] if field.space == "rt0"
+                  else field.element_values(_RULE5.points, s))
+        l2 = np.einsum("q,tq->t", _RULE5.weights, (u - values) ** 2)
+        del u, values  # not held through the larger H1 temporaries
+        diff = grad - (
+            affine_field(*field.flux_affine(s, v), points) if field.space == "rt0"
+            else field.element_gradients(s, v)[:, None, :])
+        h1 = np.einsum("q,tqd,tqd->t", _RULE5.weights, diff, diff)
         return vols, h1, l2
 
     vols, *squares = per_block(mesh.n_tets, block)
-    return tuple(None if e is None else math.sqrt(float(vols @ e)) for e in squares)
+    return tuple(math.sqrt(float(vols @ e)) for e in squares)
 
 
 def converge_row(element, mesh, case, rhs="exact-f", tol=1e-10):
@@ -122,13 +108,13 @@ def converge_row(element, mesh, case, rhs="exact-f", tol=1e-10):
     return field, dofs, err_h1, err_l2
 
 
-def l2_error(mesh, field, u_exact, rule=None):
+def l2_error(mesh, field, u_exact):
     """Elementwise L2 distance between a field and an exact scalar solution.
 
     For rt0 fields the piecewise-constant cell part is compared.
     """
-    return error_norms(mesh, field, lambda x, y, z: (u_exact(x, y, z), None),
-                       rule)[1]
+    return error_norms(mesh, field, lambda x, y, z: (
+        u_exact(x, y, z), np.zeros(x.shape + (3,))))[1]
 
 
 def broken_h1_error(mesh, field, grad_exact):
@@ -136,19 +122,19 @@ def broken_h1_error(mesh, field, grad_exact):
 
     For rt0 fields the flux sigma plays the role of the discrete gradient.
     """
-    return error_norms(mesh, field, lambda x, y, z: (None, grad_exact(x, y, z)))[0]
+    return error_norms(mesh, field, lambda x, y, z: (
+        np.zeros_like(x), grad_exact(x, y, z)))[0]
 
 
 def field_l2_norm(mesh, field):
-    """L2 norm of a piecewise-linear field itself (exact, degree-2 rule)."""
-    return l2_error(mesh, field, lambda x, y, z: np.zeros_like(x),
-                    tet_rule_degree2())
+    """L2 norm of a piecewise-linear field itself (exact: the degree-5 rule
+    integrates its square, a quadratic)."""
+    return l2_error(mesh, field, lambda x, y, z: np.zeros_like(x))
 
 
 def broken_h1_norm(mesh, field):
     """Broken H1 seminorm of a piecewise-linear field (exact)."""
-    g = field.element_gradients()
-    return math.sqrt(float(element_volumes(mesh) @ dot(g, g)))
+    return broken_h1_error(mesh, field, lambda x, y, z: np.zeros(x.shape + (3,)))
 
 
 def discrete_poincare_ratio(mesh, field):

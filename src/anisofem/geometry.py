@@ -61,15 +61,13 @@ BLOCK = 2048
 
 def per_block(n, kernel):
     """``kernel(s)`` on the slices s of range(n), BLOCK elements each (one
-    empty slice when n = 0), its output arrays (one or a tuple, where None
-    stays None) joined along the first axis.  Per-element kernels give the
-    same bits at any block size; sums across elements are left to the
-    caller, to run once over the joined arrays, so no result depends on
-    BLOCK."""
+    empty slice when n = 0), its output arrays (one or a tuple) joined along
+    the first axis.  Per-element kernels give the same bits at any block
+    size; sums across elements are left to the caller, to run once over the
+    joined arrays, so no result depends on BLOCK."""
     parts = [kernel(slice(i, i + BLOCK)) for i in range(0, max(n, 1), BLOCK)]
     if isinstance(parts[0], tuple):
-        return tuple(None if p[0] is None else np.concatenate(p)
-                     for p in zip(*parts))
+        return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
 
 

@@ -76,7 +76,7 @@ class Mesh:
     Tets are stored positively oriented (signed volume > 0), as int32, or
     int64 once the vertex count reaches 2^31.  The face table is built on
     first access and cached.  Raises ValueError unless the vertices are
-    (nv, 3), the tets (nt, 4) and every vertex id in 0 .. nv - 1.
+    (nv, 3), the tets (nt, 4) integers and every vertex id in 0 .. nv - 1.
     """
 
     def __init__(self, vertices, tets):
@@ -85,6 +85,8 @@ class Mesh:
         if self.vertices.shape[1:] != (3,) or tets.shape[1:] != (4,):
             raise ValueError(f"need (nv, 3) vertices and (nt, 4) tets, got "
                              f"{self.vertices.shape} and {tets.shape}")
+        if tets.dtype.kind not in "iu":  # no float to truncate, no bool as 0/1
+            raise ValueError(f"vertex ids must be integers, got {tets.dtype}")
         # the caller's ids, before the cast could wrap one into range
         if tets.size and (tets.min() < 0 or tets.max() >= len(self.vertices)):
             raise ValueError(f"vertex ids outside 0 .. {len(self.vertices) - 1}")

@@ -12,6 +12,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+# simplex_measure is unused here but stays importable from this module:
+# perfbench/traced_cli.py's LAYERS["quadrature"] and test_traced_layers_exist
+# name it as quadrature.simplex_measure
 from .geometry import checked_measure, from_barycentric, simplex_measure  # noqa: F401
 
 

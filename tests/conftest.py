@@ -10,6 +10,16 @@ from anisofem.mesh import Mesh
 
 CASE = af.cube_polynomial_case()
 
+
+def exact_u(x, y, z):
+    """The benchmark solution u alone: the first part of ``CASE.solution``."""
+    return CASE.solution(x, y, z)[0]
+
+
+def exact_grad(x, y, z):
+    """grad u alone: the second part of ``CASE.solution``."""
+    return CASE.solution(x, y, z)[1]
+
 # mesh pairs of the published studies at the two grading exponents the
 # acceptance checks cover, without the opt-in M=32 rows
 PAIRS_GAMMA15 = [(4, 8), (8, 22), (16, 64)]

@@ -6,9 +6,9 @@ import pytest
 
 import anisofem as af
 from anisofem.analysis import global_cr_interpolant
-from anisofem.quadrature import map_points, sample
+from anisofem.quadrature import sample
 
-from conftest import CASE
+from conftest import CASE, exact_grad, exact_u, jittered_cube
 
 # published interpolation-error rows for the flat-tet demo at gamma = 1.5
 SLIVER_TABLE = [
@@ -31,19 +31,8 @@ def test_manufactured_case_consistency():
         for d in range(3):
             e = np.zeros(3)
             e[d] = h
-            lap += (CASE.u(*(p + e)) - 2 * CASE.u(*p) + CASE.u(*(p - e))) / h ** 2
+            lap += (exact_u(*(p + e)) - 2 * exact_u(*p) + exact_u(*(p - e))) / h ** 2
         assert abs(-lap - CASE.f(*p)) < 1e-6
-
-
-def test_value_alone_has_the_bits_of_the_solution():
-    # u skips the gradient but keeps solution's expression order: the same
-    # bits at the degree-5 points of the 4:8 mesh, in their planes layout
-    mesh = af.generate_aniso_cube(4, 8)
-    points, _ = map_points(af.tet_rule_degree5(), mesh.tet_vertices())
-    x, y, z = np.moveaxis(points, -1, 0)
-    value = CASE.u(x, y, z)
-    assert value.tobytes() == CASE.solution(x, y, z)[0].tobytes()
-    assert value.shape == x.shape and value.any()
 
 
 def test_gradient_consistency():
@@ -51,11 +40,11 @@ def test_gradient_consistency():
     pts = rng.uniform(0.05, 0.95, (50, 3))
     h = 1e-6
     for p in pts:
-        grad = CASE.grad_u(*p)
+        grad = exact_grad(*p)
         for d in range(3):
             e = np.zeros(3)
             e[d] = h
-            fd = (CASE.u(*(p + e)) - CASE.u(*(p - e))) / (2 * h)
+            fd = (exact_u(*(p + e)) - exact_u(*(p - e))) / (2 * h)
             assert abs(grad[d] - fd) < 1e-8
 
 
@@ -77,8 +66,8 @@ def test_normalization_matches_quadrature_on_uniform_mesh():
         total = np.zeros_like(x)
         for e in np.eye(3):
             step = e.reshape((3,) + (1,) * x.ndim)
-            total += (CASE.u(*(pts + step)) - 2.0 * CASE.u(*pts)
-                      + CASE.u(*(pts - step))) ** 2
+            total += (exact_u(*(pts + step)) - 2.0 * exact_u(*pts)
+                      + exact_u(*(pts - step))) ** 2
         return total
 
     mesh = af.generate_aniso_cube(16, 16)
@@ -104,11 +93,11 @@ def _separate_error_passes(mesh, field):
     # reference: one pass per norm, each sampling its own exact function
     rule = af.tet_rule_degree5()
     v = mesh.tet_vertices()
-    exact, vols = sample(rule, v, CASE.grad_u)
+    exact, vols = sample(rule, v, exact_grad)
     diff = exact - (field.flux_values(rule.points) if field.space == "rt0"
                     else field.element_gradients()[:, None, :])
     h1 = vols @ np.einsum("q,tqd,tqd->t", rule.weights, diff, diff)
-    exact, vols = sample(rule, v, CASE.u)
+    exact, vols = sample(rule, v, exact_u)
     values = (field.cell_coeffs[:, None] if field.space == "rt0"
               else field.element_values(rule.points))
     l2 = vols @ np.einsum("q,tq->t", rule.weights, (exact - values) ** 2)
@@ -125,15 +114,15 @@ def test_error_sweep_matches_the_separate_norms(space):
     cells = rng.uniform(-1.0, 1.0, mesh.n_tets) if space == "rt0" else None
     field = af.Field(space, mesh, rng.uniform(-1.0, 1.0, n), cell_coeffs=cells)
     h1, l2 = af.error_norms(mesh, field, CASE.solution)
-    assert (h1, l2) == (af.broken_h1_error(mesh, field, CASE.grad_u),
-                        af.l2_error(mesh, field, CASE.u))
+    assert (h1, l2) == (af.broken_h1_error(mesh, field, exact_grad),
+                        af.l2_error(mesh, field, exact_u))
     assert (h1, l2) == _separate_error_passes(mesh, field)
 
 
 def test_zero_field_error_is_solution_norm():
     mesh = af.generate_aniso_cube(8, 8)
     zero = af.Field("cr", mesh, np.zeros(mesh.faces.n_faces))
-    norm = af.l2_error(mesh, zero, CASE.u)
+    norm = af.l2_error(mesh, zero, exact_u)
     exact = math.sqrt(1 / 27000)  # (int p^2)^3 with int p^2 = 1/30
     # the squared integrand has degree 10, so the degree-5 rule is close but
     # deliberately not exact
@@ -143,7 +132,7 @@ def test_zero_field_error_is_solution_norm():
 def test_published_cr_error_row():
     mesh = af.generate_aniso_cube(8, 22)
     field = af.solve_spd(af.assemble_cr(mesh, CASE.f))
-    err = af.broken_h1_error(mesh, field, CASE.grad_u) / CASE.hess_diag_l2
+    err = af.broken_h1_error(mesh, field, exact_grad) / CASE.hess_diag_l2
     assert abs(err - 4.0629e-02) / 4.0629e-02 < 0.25
 
 
@@ -161,10 +150,10 @@ def test_convergence_indicator():
 def test_triangle_inequality_sanity(cr_gamma15):
     row = cr_gamma15[0]
     mesh, field = row["mesh"], row["field"]
-    interp = global_cr_interpolant(mesh, CASE.u)
+    interp = global_cr_interpolant(mesh, exact_u)
     gap = af.Field("cr", mesh, interp.coeffs - field.coeffs)
-    lhs = af.l2_error(mesh, field, CASE.u)
-    rhs = af.l2_error(mesh, interp, CASE.u) + af.analysis.field_l2_norm(mesh, gap)
+    lhs = af.l2_error(mesh, field, exact_u)
+    rhs = af.l2_error(mesh, interp, exact_u) + af.analysis.field_l2_norm(mesh, gap)
     assert lhs <= rhs + 1e-12
 
 
@@ -187,7 +176,7 @@ def test_broken_h1_of_continuous_p1_field():
     # leaves out
     mesh = af.generate_aniso_cube(4, 4)
     x, y, z = mesh.vertices.T
-    coeffs = CASE.u(x, y, z) * (1.0 + 0.3 * x - 0.2 * y + 1.1 * z)
+    coeffs = exact_u(x, y, z) * (1.0 + 0.3 * x - 0.2 * y + 1.1 * z)
     field = af.Field("p1", mesh, coeffs)
     zero_grad = lambda x, y, z: np.zeros(x.shape + (3,))
     system = af.assemble_p1(mesh, CASE.f)
@@ -196,6 +185,22 @@ def test_broken_h1_of_continuous_p1_field():
     energy = math.sqrt(free @ system.matrix @ free)
     assert abs(af.broken_h1_error(mesh, field, zero_grad) - energy) \
         <= 1e-12 * energy
+
+
+@pytest.mark.parametrize("space", ["p1", "cr"])
+def test_diagnostic_norms_are_exact(space):
+    # a piecewise-linear field has a quadratic square, which the degree-2
+    # rule integrates exactly, and a constant gradient on each tet
+    mesh = jittered_cube(4, 4)
+    n = mesh.n_vertices if space == "p1" else mesh.faces.n_faces
+    field = af.Field(space, mesh, np.random.default_rng(29).uniform(-1.0, 1.0, n))
+    rule = af.tet_rule_degree2()
+    vols = af.element_volumes(mesh)
+    l2 = math.sqrt(vols @ (field.element_values(rule.points) ** 2 @ rule.weights))
+    g = field.element_gradients()
+    h1 = math.sqrt(vols @ (g ** 2).sum(axis=1))
+    assert math.isclose(af.analysis.field_l2_norm(mesh, field), l2, rel_tol=1e-13)
+    assert math.isclose(af.analysis.broken_h1_norm(mesh, field), h1, rel_tol=1e-13)
 
 
 def test_poincare_ratio_properties(cr_gamma15):

@@ -9,7 +9,7 @@ import anisofem as af
 from anisofem import geometry, quadrature
 from anisofem.system import Field
 
-from conftest import CASE, jittered_cube
+from conftest import CASE, exact_grad, jittered_cube
 
 RULE = af.tet_rule_degree5()
 
@@ -46,7 +46,7 @@ FORMULAS = [
     ("simplex_measure", geometry.simplex_measure),
     ("map_points", lambda v: quadrature.map_points(RULE, v)),
     ("sample", lambda v: quadrature.sample(RULE, v, CASE.f)),
-    ("sample_vector", lambda v: quadrature.sample(RULE, v, CASE.grad_u)),
+    ("sample_vector", lambda v: quadrature.sample(RULE, v, exact_grad)),
     ("tet_metrics", geometry._tet_metrics),
     ("face_geometry", geometry.face_geometry),
     ("rt0_affine", lambda v: geometry.rt0_affine(

@@ -358,7 +358,10 @@ def test_mesh_rejects_malformed_input():
                            (corner, [[0, 1, 2, 259]]),  # read as vertex 3 at uint8
                            (corner, [[0, 1, 2, 2**32 + 3]]),  # wraps to 3 at int32
                            (corner, [[-1, 1, 2, 3]]),
-                           (corner, [[0, 1, 2, -1]])]:
+                           (corner, [[0, 1, 2, -1]]),
+                           (corner, [[0, 1, 2, 2.7]]),  # truncated to 2 by the cast
+                           (corner, [[False, True, True, True]]),  # read as 0 and 1
+                           (corner, [["0", "1", "2", "3"]])]:  # a numpy type error
         with pytest.raises(ValueError):
             Mesh(vertices, tets)
     # the empty mesh stays valid; the face table still refuses it
